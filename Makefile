@@ -200,12 +200,13 @@ chaos:
 chaos-cluster:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -run '^TestChaosCluster$$' ./internal/cluster
 
-# Fuzz the artifact decoders (persisted libraries and selectors are the only
-# untrusted inputs in the system). Go allows one -fuzz pattern per
-# invocation, so each target gets its own run.
+# Fuzz the artifact decoders (persisted libraries and selectors) and the
+# select request scanner against encoding/json. Go allows one -fuzz pattern
+# per invocation, so each target gets its own run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadLibrary$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSelector$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSelectBody$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=$(SMOKE_FUZZTIME)

@@ -222,12 +222,14 @@ func (c *edgeCache) evictStale(de *deviceEdge, rep int) {
 	}
 }
 
-// noteGens folds one health observation's per-backend generations into every
-// device channel: a channel whose request-device names a backend takes that
-// backend's generation exactly; the default channel ("") and channels the map
-// does not name conservatively take the highest backend generation — server
-// generation counters only advance, so the worst case is evicting a few
-// still-valid entries, never serving a stale one.
+// noteGens folds one health observation's per-backend generations into the
+// device channels it names: a channel whose request-device names a backend
+// takes that backend's generation exactly, and the default channel ("")
+// conservatively takes the highest one — server generation counters only
+// advance, so the worst case is evicting a few still-valid default-route
+// entries, never serving a stale one. Channels the map does not name keep
+// their registers: a reload swaps only the backends it names, so another
+// device's entries stay valid.
 func (c *edgeCache) noteGens(rep int, gens map[string]uint64) {
 	if len(gens) == 0 || rep < 0 || rep >= c.replicas {
 		return
@@ -245,11 +247,11 @@ func (c *edgeCache) noteGens(rep int, gens map[string]uint64) {
 	}
 	c.mu.RUnlock()
 	for _, de := range des {
-		g, ok := gens[de.device]
-		if !ok {
-			g = maxGen
+		if g, ok := gens[de.device]; ok {
+			c.advanceReg(de, rep, g)
+		} else if de.device == "" {
+			c.advanceReg(de, rep, maxGen)
 		}
-		c.advanceReg(de, rep, g)
 	}
 }
 

@@ -273,6 +273,9 @@ func (r *Router) setBackoff(idx int, d time.Duration) {
 // routable filters a candidate order down to replicas worth trying: up and
 // not in backoff. If backoff would empty the list, backed-off (but up)
 // replicas are readmitted — backoff sheds preference, never availability.
+// With no up candidate at all, replicas mid-reload (warming) are admitted
+// before the shape falls to the router-local engine: a warming replica still
+// answers at full quality, and the local engine may not host the device.
 func (r *Router) routable(order []int) []int {
 	now := time.Now().UnixNano()
 	alive := make([]int, 0, len(order))
@@ -287,7 +290,15 @@ func (r *Router) routable(order []int) []int {
 		}
 		alive = append(alive, idx)
 	}
-	return append(alive, backedOff...)
+	alive = append(alive, backedOff...)
+	if len(alive) == 0 {
+		for _, idx := range order {
+			if r.health.state(r.replicas[idx].Name) == StateWarming {
+				alive = append(alive, idx)
+			}
+		}
+	}
+	return alive
 }
 
 // attemptResult is one replica attempt's outcome.

@@ -3,7 +3,6 @@ package serve
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 
 	"kernelselect/internal/gemm"
 	"kernelselect/internal/xrand"
@@ -18,8 +17,6 @@ import (
 type decisionCache struct {
 	shards []cacheShard
 	mask   uint64
-	hits   atomic.Uint64
-	misses atomic.Uint64
 }
 
 type cacheShard struct {
@@ -81,11 +78,9 @@ func (c *decisionCache) get(s gemm.Shape) (Decision, bool) {
 		sh.order.MoveToFront(el)
 		dec := el.Value.(*cacheEntry).dec
 		sh.mu.Unlock()
-		c.hits.Add(1)
 		return dec, true
 	}
 	sh.mu.Unlock()
-	c.misses.Add(1)
 	return Decision{}, false
 }
 
@@ -143,12 +138,4 @@ func (c *decisionCache) len() int {
 		sh.mu.Unlock()
 	}
 	return total
-}
-
-// stats returns cumulative hit and miss counts.
-func (c *decisionCache) stats() (hits, misses uint64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.hits.Load(), c.misses.Load()
 }

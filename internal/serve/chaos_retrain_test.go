@@ -163,7 +163,7 @@ func chaosRetrainRun(t *testing.T, seed uint64) {
 	for _, be := range srv.backends {
 		for i := 0; i < 8; i++ {
 			for _, sh := range shiftedShapes {
-				if _, err := srv.decide(context.Background(), be, sh); err != nil {
+				if _, err := srv.Decide(context.Background(), be.name, sh); err != nil {
 					t.Fatal(err)
 				}
 			}

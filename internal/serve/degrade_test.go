@@ -117,7 +117,7 @@ func TestCircuitBreakerTripsAndRecovers(t *testing.T) {
 	be := srv.backends[0]
 
 	// Healthy: full service.
-	d, err := srv.decide(context.Background(), be, gemm.Shape{M: 64, K: 64, N: 64})
+	d, err := srv.Decide(context.Background(), be.name, gemm.Shape{M: 64, K: 64, N: 64})
 	if err != nil || d.Degraded {
 		t.Fatalf("healthy decide: %+v, %v", d, err)
 	}
@@ -126,7 +126,7 @@ func TestCircuitBreakerTripsAndRecovers(t *testing.T) {
 	// "error"; the third consecutive failure trips the breaker.
 	pricer.failing.Store(true)
 	for i := 0; i < 3; i++ {
-		d, err := srv.decide(context.Background(), be, gemm.Shape{M: 100 + i, K: 7, N: 7})
+		d, err := srv.Decide(context.Background(), be.name, gemm.Shape{M: 100 + i, K: 7, N: 7})
 		if err != nil || !d.Degraded || d.DegradedReason != "error" {
 			t.Fatalf("failure %d: %+v, %v", i, d, err)
 		}
@@ -141,7 +141,7 @@ func TestCircuitBreakerTripsAndRecovers(t *testing.T) {
 	// Open: requests degrade with reason "breaker" and never call the
 	// pricer.
 	before := pricer.calls.Load()
-	d, err = srv.decide(context.Background(), be, gemm.Shape{M: 200, K: 7, N: 7})
+	d, err = srv.Decide(context.Background(), be.name, gemm.Shape{M: 200, K: 7, N: 7})
 	if err != nil || !d.Degraded || d.DegradedReason != "breaker" {
 		t.Fatalf("open-breaker decide: %+v, %v", d, err)
 	}
@@ -153,7 +153,7 @@ func TestCircuitBreakerTripsAndRecovers(t *testing.T) {
 	// closes the breaker and full service resumes.
 	pricer.failing.Store(false)
 	time.Sleep(40 * time.Millisecond)
-	d, err = srv.decide(context.Background(), be, gemm.Shape{M: 300, K: 7, N: 7})
+	d, err = srv.Decide(context.Background(), be.name, gemm.Shape{M: 300, K: 7, N: 7})
 	if err != nil || d.Degraded {
 		t.Fatalf("trial decide: %+v, %v", d, err)
 	}

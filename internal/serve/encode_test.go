@@ -76,6 +76,7 @@ func TestParseSelectBody(t *testing.T) {
 		{`{"device":"x","m":-5,"k":2,"n":3}`, -5, 2, 3, "x"},
 		{`{"m":1,"k":2,"n":3,"m":9}`, 9, 2, 3, ""}, // duplicate: last wins, as stdlib
 		{`{}`, 0, 0, 0, ""},
+		{`{"m":0,"k":-0,"n":3}`, 0, 0, 3, ""},
 	}
 	for _, c := range accept {
 		p, ok := parseSelectBody([]byte(c.body))
@@ -103,6 +104,7 @@ func TestParseSelectBody(t *testing.T) {
 		`{"m":1,"k":2,"n":3} {"m":4}`, `{"device":"a\"b","m":1,"k":2,"n":3}`,
 		`{"device":"ü","m":1,"k":2,"n":3}`, `{"m":12345678901234567890,"k":2,"n":3}`,
 		`{"m":null,"k":2,"n":3}`, `{"m":1,"k":2,"n":3,}`,
+		`{"m":0784,"k":1152,"n":256}`, `{"m":-07,"k":1,"n":1}`, // leading zeros are not JSON
 	}
 	for _, body := range punt {
 		if _, ok := parseSelectBody([]byte(body)); ok {

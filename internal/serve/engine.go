@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"kernelselect/internal/gemm"
-	"kernelselect/internal/par"
 )
 
 // Engine is the transport-agnostic face of the decision engine: everything a
@@ -21,30 +20,20 @@ import (
 type Engine interface {
 	// Decide answers one shape on one device backend (empty device selects
 	// the default). It runs the same ladder as POST /v1/select: cache hit,
-	// admission budget (exhaustion degrades to the fallback config), then the
-	// pricing pass. It fails only for an unknown device, an invalid shape, or
-	// a context that expires mid-computation — never for pricing failures,
-	// which degrade instead.
+	// shed check and admission budget (exhaustion degrades to the fallback
+	// config), then the pricing pass. It fails only for an unknown device,
+	// an invalid shape, a backend over its shed threshold, or a context that
+	// expires mid-computation — never for pricing failures, which degrade
+	// instead.
 	Decide(ctx context.Context, device string, shape gemm.Shape) (Decision, error)
-
-	// DecideBatch answers many shapes on one device backend in a single
-	// engine entry, with POST /v1/select/batch semantics: one admission
-	// token covers the whole batch (exhaustion degrades every miss while
-	// cache hits keep full quality), and misses price concurrently on the
-	// server's worker pool. It fails only for an unknown device, an invalid
-	// or oversized shape list, or an expired context.
-	DecideBatch(ctx context.Context, device string, shapes []gemm.Shape) ([]Decision, error)
 
 	// Devices lists the hosted device names; the first is the default route.
 	Devices() []string
 }
 
-// Decide implements Engine over the server's full serving ladder. It is the
-// extraction point the HTTP handlers are built on: handleSelect's fast path
-// duplicates the cache probe for its zero-allocation encoding, but every
-// semantic branch — hit bypasses admission, budget exhaustion degrades,
-// aborted decisions are not cached — is the same here, so a transport layered
-// over Decide serves exactly what the HTTP surface serves.
+// Decide implements Engine over the decide ladder the HTTP handlers run, so
+// a transport layered over Decide serves exactly what the HTTP surface
+// serves.
 func (s *Server) Decide(ctx context.Context, device string, shape gemm.Shape) (Decision, error) {
 	be, err := s.backend(device)
 	if err != nil {
@@ -53,81 +42,9 @@ func (s *Server) Decide(ctx context.Context, device string, shape gemm.Shape) (D
 	if err := shape.Validate(); err != nil {
 		return Decision{}, err
 	}
-	// Cache hits are O(1) and bypass admission entirely, exactly like the
-	// HTTP fast path: even a saturated backend keeps answering its
-	// steady-state shapes at full quality.
-	gen := be.gen.Load()
-	if d, ok := gen.cache.get(shape); ok {
-		d.Cached = true
-		s.account(be, gen, shape, &d)
-		return d, nil
-	}
-	release, ok := be.acquire()
-	if !ok {
-		gen = be.gen.Load()
-		d := s.degradedDecision(be, gen, shape, reasonBudget)
-		s.account(be, gen, shape, &d)
-		return d, nil
-	}
-	defer release()
-	be.inflight.Add(1)
-	defer be.inflight.Add(-1)
-	return s.decide(ctx, be, shape)
-}
-
-// DecideBatch implements Engine with the same core the HTTP batch handler
-// runs: shapes validate up front, one admission token covers the batch, and
-// misses fan out over the worker pool via the shared decide ladder. The
-// cluster router's micro-batcher consumes this for its local fallback and
-// tests pin it against the HTTP surface.
-func (s *Server) DecideBatch(ctx context.Context, device string, shapes []gemm.Shape) ([]Decision, error) {
-	be, err := s.backend(device)
-	if err != nil {
-		return nil, err
-	}
-	if len(shapes) == 0 {
-		return nil, fmt.Errorf("batch has no shapes")
-	}
-	if len(shapes) > s.opts.MaxBatch {
-		return nil, fmt.Errorf("batch of %d shapes exceeds limit %d", len(shapes), s.opts.MaxBatch)
-	}
-	for i := range shapes {
-		if err := shapes[i].Validate(); err != nil {
-			return nil, fmt.Errorf("shape %d: %v", i, err)
-		}
-	}
-	release, ok := be.acquire()
-	if !ok {
-		// Budget exhausted: exactly like Decide, hits stay full quality and
-		// misses degrade to the fallback config rather than erroring.
-		gen := be.gen.Load()
-		results := make([]Decision, len(shapes))
-		for i, sh := range shapes {
-			if d, hit := gen.cache.get(sh); hit {
-				d.Cached = true
-				s.account(be, gen, sh, &d)
-				results[i] = d
-				continue
-			}
-			results[i] = s.degradedDecision(be, gen, sh, reasonBudget)
-			s.account(be, gen, sh, &results[i])
-		}
-		return results, nil
-	}
-	defer release()
-	be.inflight.Add(1)
-	defer be.inflight.Add(-1)
-	results := par.Map(s.opts.Workers, len(shapes), func(i int) Decision {
-		d, err := s.decide(ctx, be, shapes[i])
-		if err != nil {
-			return Decision{} // context expired: the batch is void
-		}
-		return d
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
+	var d [1]Decision
+	err = s.decide(ctx, be, []gemm.Shape{shape}, d[:])
+	return d[0], err
 }
 
 // HotShape is one entry of a backend's served-shape window aggregated by

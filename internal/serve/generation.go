@@ -14,23 +14,16 @@ import (
 	"kernelselect/internal/sim"
 )
 
-// Pricer prices one configuration on one shape. The production
-// implementation adapts *sim.Model (which cannot fail); the indirection
+// Pricer prices one configuration on one shape. Production serving has no
+// Pricer: it prices through the analytical model's batch pass. The seam
 // exists so tests can wrap pricing with fault injection (latency spikes,
-// errors, cancellations) and so a future remote pricing service has a seam.
+// errors, cancellations) and so a future remote pricing service has one.
 type Pricer interface {
 	PriceGFLOPS(ctx context.Context, cfg gemm.Config, s gemm.Shape) (float64, error)
 }
 
-// modelPricer adapts the analytical device model to the Pricer seam.
-type modelPricer struct{ m *sim.Model }
-
-func (p modelPricer) PriceGFLOPS(_ context.Context, cfg gemm.Config, s gemm.Shape) (float64, error) {
-	return p.m.GFLOPS(cfg, s), nil
-}
-
 // generation is one immutable epoch of a backend's serving state: the
-// library, the pricer that prices its decisions, a decision cache private to
+// library, the model that prices its decisions, a decision cache private to
 // this epoch, and the precomputed fallback decision served under
 // degradation. Reload builds a fresh generation and swaps the backend's
 // atomic pointer; requests that loaded the old pointer keep serving against
@@ -41,9 +34,15 @@ type generation struct {
 	id     uint64
 	device string
 	lib    *core.Library
-	model  *sim.Model
-	pricer Pricer
+	model  *sim.Model // as supplied: handed to RetrainFunc, kept by Reload
+	pricer Pricer     // the backend's custom pricer; nil prices through batch
 	cache  *decisionCache
+
+	// direct is a memo-less copy of model. Everything the generation prices
+	// at serving time goes through it, so serving never grows the model's
+	// unbounded (configuration, shape) memo; on fresh shapes direct pricing
+	// is also the faster of the two.
+	direct *sim.Model
 
 	// fb holds the degraded-mode fallback template (Shape/DegradedReason
 	// filled per request). It is a pointer swapped atomically because the
@@ -60,17 +59,12 @@ type generation struct {
 	choose   func(gemm.Shape) int
 	compiled bool
 
-	// flight coalesces concurrent cache misses per shape; scoping it to the
-	// generation means followers can only ever receive decisions priced by
-	// this epoch's library.
-	flight flightGroup
-
 	// batch is the vectorized pricing pass over the library's configuration
-	// list, non-nil only when pricing goes through the analytical model
-	// (modelPricer). Custom pricers — fault injection, measured pricing —
-	// keep the per-configuration loop so their per-call seams (latency,
-	// errors, cancellation points) are preserved. rowPool recycles the
-	// per-miss GFLOPS row so the batch miss path allocates nothing.
+	// list, non-nil only when the backend has no custom pricer. Custom
+	// pricers — fault injection, measured pricing — keep the
+	// per-configuration loop so their per-call seams (latency, errors,
+	// cancellation points) are preserved. rowPool recycles the per-miss
+	// GFLOPS row so the batch miss path allocates nothing.
 	batch   *sim.BatchPricer
 	rowPool sync.Pool
 
@@ -105,7 +99,8 @@ type generation struct {
 // never per request — so the hot path does no per-request setup work.
 func (s *Server) newGeneration(device string, lib *core.Library, model *sim.Model, pricer Pricer) *generation {
 	id := s.genCounter.Add(1)
-	fb := fallbackDecision(device, lib, model, s.fallbackShapes)
+	direct := &sim.Model{Dev: model.Dev, P: model.P}
+	fb := fallbackDecision(device, lib, direct, s.fallbackShapes)
 	fb.Generation = id
 	g := &generation{
 		id:     id,
@@ -114,14 +109,15 @@ func (s *Server) newGeneration(device string, lib *core.Library, model *sim.Mode
 		model:  model,
 		pricer: pricer,
 		cache:  newDecisionCache(s.opts.CacheSize, s.opts.CacheShards),
+		direct: direct,
 	}
 	g.fb.Store(&fb)
-	if _, ok := pricer.(modelPricer); ok {
-		g.batch = model.Batch(lib.Configs)
+	if pricer == nil {
+		g.batch = direct.Batch(lib.Configs)
 		g.rowPool.New = func() any { r := make([]float64, len(lib.Configs)); return &r }
 	}
 	if len(s.regretUniverse) > 0 {
-		g.universe = model.Batch(s.regretUniverse)
+		g.universe = direct.Batch(s.regretUniverse)
 		n := len(s.regretUniverse)
 		g.uniPool.New = func() any { r := make([]float64, n); return &r }
 	}
@@ -365,11 +361,7 @@ func (s *Server) Reload(device string, lib *core.Library, model *sim.Model) (uin
 			return 0, fmt.Errorf("serve: reload for %q: %v", be.name, err)
 		}
 	}
-	pricer := be.custom
-	if pricer == nil {
-		pricer = modelPricer{model}
-	}
-	gen := s.newGeneration(be.name, lib, model, pricer)
+	gen := s.newGeneration(be.name, lib, model, be.custom)
 	// Warm before publishing (so no request observes uninitialised warm
 	// bookkeeping), then cancel the displaced generation's pass after the
 	// swap: at most one warm pass runs per backend, and a reload landing
@@ -378,14 +370,6 @@ func (s *Server) Reload(device string, lib *core.Library, model *sim.Model) (uin
 	s.startWarm(be, gen)
 	be.gen.Store(gen)
 	cur.stopWarm()
-	// Fold the displaced generation's cache counters into the backend's
-	// cumulative bases so selectd_cache_{hits,misses}_total stay monotonic
-	// across the swap. In-flight requests still finishing against the old
-	// generation may bump its counters after this snapshot; those few
-	// straggler counts are dropped rather than risking a decrease.
-	hits, misses := cur.cache.stats()
-	be.cacheHitsBase.Add(hits)
-	be.cacheMissesBase.Add(misses)
 	// A fresh generation's fallback starts from the static shape set; when
 	// the window has already observed enough live traffic, relearn it from
 	// the observed distribution immediately rather than waiting a

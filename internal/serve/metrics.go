@@ -180,7 +180,6 @@ type backendStats struct {
 	budgetFree   int
 	budgetCap    int
 	shed         uint64
-	coalesced    uint64
 	degraded     [numReasons]uint64
 	ewmaSeconds  float64
 	breakerState breakerState
@@ -300,12 +299,6 @@ func (m *metrics) render(b *strings.Builder, backends []backendStats) {
 	b.WriteString("# TYPE selectd_shed_total counter\n")
 	for _, be := range backends {
 		fmt.Fprintf(b, "selectd_shed_total{device=%q} %d\n", be.device, be.shed)
-	}
-
-	b.WriteString("# HELP selectd_singleflight_coalesced_total Cache-miss requests coalesced onto another request's pricing pass, by device.\n")
-	b.WriteString("# TYPE selectd_singleflight_coalesced_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_singleflight_coalesced_total{device=%q} %d\n", be.device, be.coalesced)
 	}
 
 	b.WriteString("# HELP selectd_compiled_selector Whether the serving generation uses a compiled selector (1) or the interpreted model (0), by device.\n")

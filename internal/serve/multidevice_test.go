@@ -235,13 +235,13 @@ func TestDeadlineAbortNotCached(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := srv.decide(ctx, be, shape); err == nil {
+	if _, err := srv.Decide(ctx, be.name, shape); err == nil {
 		t.Fatal("decide with a dead context succeeded")
 	}
 	if _, ok := be.gen.Load().cache.get(shape); ok {
 		t.Fatal("aborted decision was cached")
 	}
-	d, err := srv.decide(context.Background(), be, shape)
+	d, err := srv.Decide(context.Background(), be.name, shape)
 	if err != nil {
 		t.Fatal(err)
 	}

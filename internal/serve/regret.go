@@ -78,7 +78,7 @@ func (s *Server) regretWorker() {
 // measureRegret prices the universe for one sampled decision and folds the
 // regret into the backend's histogram (the degraded-path histogram when the
 // decision was a fallback answer, so fallback cost is measurable on its own).
-// Pricing goes through the generation's model directly — not the backend's
+// Pricing goes through the generation's memo-less model — not the backend's
 // custom pricer — because regret compares against the analytical optimum the
 // offline pipeline uses; fault-injected or measured pricers describe service,
 // not the reference.
@@ -94,7 +94,7 @@ func (s *Server) measureRegret(smp regretSample) float64 {
 		}
 	}
 	gen.uniPool.Put(rp)
-	achieved := gen.model.GFLOPS(smp.cfg, smp.shape)
+	achieved := gen.direct.GFLOPS(smp.cfg, smp.shape)
 	regret := 0.0
 	if best > 0 {
 		// When the served config is the universe argmax, achieved and best are
@@ -144,7 +144,7 @@ func (s *Server) meanRegret(gen *generation, choose func(gemm.Shape) int, cfgs [
 		if best <= 0 {
 			continue
 		}
-		achieved := gen.model.GFLOPS(cfgs[choose(sh)], sh)
+		achieved := gen.direct.GFLOPS(cfgs[choose(sh)], sh)
 		if r := 1 - achieved/best; r > 0 {
 			sum += math.Min(r, 1)
 		}

@@ -44,7 +44,7 @@ func TestRegretAccountingInvariants(t *testing.T) {
 
 	const n = 40
 	for i := 0; i < n; i++ {
-		if _, err := srv.decide(context.Background(), be, reloadShapes[i%len(reloadShapes)]); err != nil {
+		if _, err := srv.Decide(context.Background(), be.name, reloadShapes[i%len(reloadShapes)]); err != nil {
 			t.Fatal(err)
 		}
 	}

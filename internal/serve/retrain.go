@@ -138,7 +138,7 @@ func (s *Server) learnFallback(be *backend, gen *generation, win []gemm.Shape) {
 	if len(shapes) == 0 {
 		return
 	}
-	idx := weightedBestGeomeanIndex(gen.model, gen.lib.Configs, shapes, weights)
+	idx := weightedBestGeomeanIndex(gen.direct, gen.lib.Configs, shapes, weights)
 	if idx == gen.fb.Load().Index {
 		return
 	}

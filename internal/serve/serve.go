@@ -319,11 +319,7 @@ func NewMulti(backends []Backend, opts Options) (*Server, error) {
 		}
 		mix := mixOf(opts.TrainShapes)
 		be.driftRef.Store(&mix)
-		pricer := b.Pricer
-		if pricer == nil {
-			pricer = modelPricer{b.Model}
-		}
-		gen := s.newGeneration(b.Device, b.Lib, b.Model, pricer)
+		gen := s.newGeneration(b.Device, b.Lib, b.Model, b.Pricer)
 		s.startWarm(be, gen)
 		be.gen.Store(gen)
 		s.backends = append(s.backends, be)
@@ -447,33 +443,103 @@ func (s *Server) degradedDecision(be *backend, gen *generation, shape gemm.Shape
 	return d
 }
 
-// decide answers one shape on one backend against a single generation
-// snapshot, consulting its cache first. It fails only when ctx expires
-// mid-computation; pricing failures and an open breaker degrade to the
-// fallback config instead. Aborted and degraded decisions are not cached.
-// Concurrent misses for the same shape coalesce into one pricing pass
-// (flight.go).
-func (s *Server) decide(ctx context.Context, be *backend, shape gemm.Shape) (Decision, error) {
+// errShed reports that a backend's full-service latency EWMA is over
+// Options.ShedLatency; the HTTP handlers answer it 429 with Retry-After.
+var errShed = errors.New("backend overloaded")
+
+// decide is the one decision ladder behind POST /v1/select, POST
+// /v1/select/batch and Engine.Decide. It answers shapes into out (same
+// length) against a single generation snapshot:
+//
+//  1. cache probe: a hit is final and skips admission, so even a saturated
+//     backend keeps answering its steady-state shapes at full quality;
+//  2. admission: when any shape missed, one shed check and one budget token
+//     cover all of them — over the shed threshold the call fails with
+//     errShed, and an exhausted budget answers every miss with the fallback
+//     config;
+//  3. per miss, under RequestTimeout: breaker and deadline check, the
+//     pricing pass, cache put (priceMiss).
+//
+// Hits and misses are counted here, once, and every served decision feeds
+// the closed loop exactly once. It fails with errShed, or when a pricing pass
+// aborts or the deadline passes before the misses are priced; the decisions
+// in out are then void.
+func (s *Server) decide(ctx context.Context, be *backend, shapes []gemm.Shape, out []Decision) error {
 	gen := be.gen.Load()
-	if d, ok := gen.cache.get(shape); ok {
-		d.Cached = true
-		s.account(be, gen, shape, &d)
-		return d, nil
+	var misses []int
+	for i, sh := range shapes {
+		if d, ok := gen.cache.get(sh); ok {
+			d.Cached = true
+			out[i] = d
+			continue
+		}
+		misses = append(misses, i)
 	}
-	d, err := s.decideMiss(ctx, be, gen, shape)
-	if err == nil {
-		// Every decision that will be served — full-quality or degraded —
-		// feeds the closed loop exactly once; aborted requests served
-		// nothing and are not decisions.
-		s.account(be, gen, shape, &d)
+	be.cacheHits.Add(uint64(len(shapes) - len(misses)))
+	if len(misses) > 0 {
+		be.cacheMisses.Add(uint64(len(misses)))
+		if err := s.decideMisses(ctx, be, gen, shapes, out, misses); err != nil {
+			return err
+		}
 	}
-	return d, err
+	for i := range out {
+		s.account(be, gen, shapes[i], &out[i])
+	}
+	return nil
 }
 
-// leaderCompute is the single-flight leader's full-service ladder: breaker,
-// deadline estimate, pricing pass, then breaker/EWMA/cache updates. Exactly
-// one caller per (generation, shape) runs it at a time.
-func (s *Server) leaderCompute(ctx context.Context, be *backend, gen *generation, shape gemm.Shape) (Decision, error) {
+// decideMisses is the ladder past the cache: admission, then the misses
+// priced concurrently on the server's worker pool. The miss shapes are
+// copied out before the fan-out so shapes and out stay on the caller's
+// stack — the select hit path allocates nothing.
+func (s *Server) decideMisses(ctx context.Context, be *backend, gen *generation, shapes []gemm.Shape, out []Decision, misses []int) error {
+	if be.overloaded(s.opts.ShedLatency) {
+		be.shed.Add(1)
+		return errShed
+	}
+	release, ok := be.acquire()
+	if !ok {
+		for _, i := range misses {
+			out[i] = s.degradedDecision(be, gen, shapes[i], reasonBudget)
+		}
+		return nil
+	}
+	defer release()
+	be.inflight.Add(1)
+	defer be.inflight.Add(-1)
+	ctx, cancel := context.WithTimeout(ctx, s.opts.RequestTimeout)
+	defer cancel()
+	start := time.Now()
+	todo := make([]gemm.Shape, len(misses))
+	for j, i := range misses {
+		todo[j] = shapes[i]
+	}
+	priced, err := par.MapErr(s.opts.Workers, len(todo), func(j int) (Decision, error) {
+		return s.priceMiss(ctx, be, gen, todo[j])
+	})
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return err
+	}
+	degraded := false
+	for j, i := range misses {
+		out[i] = priced[j]
+		degraded = degraded || priced[j].Degraded
+	}
+	// Only full-service answers describe how long service takes; a flood
+	// of cheap fallbacks must not drag the shed EWMA down.
+	if !degraded {
+		ewmaObserve(&be.latencyEWMA, time.Since(start))
+	}
+	return nil
+}
+
+// priceMiss answers one cache miss: breaker, deadline estimate, pricing
+// pass, then breaker/EWMA/cache updates. Aborted and degraded decisions are
+// not cached.
+func (s *Server) priceMiss(ctx context.Context, be *backend, gen *generation, shape gemm.Shape) (Decision, error) {
 	if !be.breaker.allow(time.Now()) {
 		return s.degradedDecision(be, gen, shape, reasonBreaker), nil
 	}
@@ -647,10 +713,10 @@ func markNoLatency(w http.ResponseWriter) {
 
 // instrument wraps a handler with counter/latency accounting. The endpoint's
 // metrics are resolved once at mux construction — not per request through the
-// registry mutex — and the per-request deadline now lives in the handlers,
-// created only on paths that can block (a cache hit never needs a context,
+// registry mutex — and the per-request deadline lives in the decide ladder,
+// created only once a shape misses the cache (a hit never needs a context,
 // and building one costs two allocations). Admission is per-backend and
-// happens inside the handlers once the device is resolved.
+// happens inside the ladder once the device is resolved.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	e := s.metrics.endpoint(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -703,31 +769,35 @@ func writeBodyError(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 }
 
-// admit runs the per-backend admission ladder shared by select and batch:
-// 429 when the backend's latency EWMA is over the shed threshold, a nil
-// release with ok=true when the caller should answer degraded (budget
-// exhausted), or a live release token. It writes the 429 itself.
-func (s *Server) admit(w http.ResponseWriter, be *backend) (release func(), degraded bool, shed bool) {
-	if be.overloaded(s.opts.ShedLatency) {
-		be.shed.Add(1)
+// writeDecideError answers a failed decide ladder: 429 with Retry-After
+// when the backend shed the request, 503 when its deadline passed.
+func writeDecideError(w http.ResponseWriter, be *backend, err error) {
+	if errors.Is(err, errShed) {
 		markNoLatency(w)
 		writeRetryable(w, http.StatusTooManyRequests, errorResponse{
 			Error: fmt.Sprintf("backend %q overloaded", be.name),
 		})
-		return nil, false, true
+		return
 	}
-	release, ok := be.acquire()
-	if !ok {
-		return nil, true, false
+	writeRetryable(w, http.StatusServiceUnavailable, errorResponse{Error: "request deadline exceeded"})
+}
+
+// markDegraded keeps a response carrying any fallback answer out of the
+// latency histogram.
+func markDegraded(w http.ResponseWriter, ds []Decision) {
+	for i := range ds {
+		if ds[i].Degraded {
+			markNoLatency(w)
+			return
+		}
 	}
-	return release, false, false
 }
 
 // handleSelect is the hot path. The steady-state request — a well-formed
 // body naming a cached shape — runs allocation-free: pooled body buffer,
 // hand-rolled parse, map-keyed backend lookup, sharded cache hit, append
-// encoding into the same pooled buffer. Everything unusual (odd JSON, cache
-// miss, degradation) steps off onto the slow path.
+// encoding into the same pooled buffer. Odd JSON steps off onto the strict
+// decoder; everything past the parse is the shared decide ladder.
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	bp := bufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
@@ -774,48 +844,13 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Cache hits are O(1) and bypass admission entirely: even a saturated
-	// backend keeps answering its steady-state shapes at full quality.
-	gen := be.gen.Load()
-	if d, ok := gen.cache.get(shape); ok {
-		d.Cached = true
-		s.account(be, gen, shape, &d)
-		buf = appendDecision(buf, &d)
-		buf = append(buf, '\n')
-		writeRawJSON(w, http.StatusOK, buf)
+	var d [1]Decision
+	if err := s.decide(r.Context(), be, []gemm.Shape{shape}, d[:]); err != nil {
+		writeDecideError(w, be, err)
 		return
 	}
-	release, degraded, shed := s.admit(w, be)
-	if shed {
-		return
-	}
-	if degraded {
-		markNoLatency(w)
-		gen = be.gen.Load()
-		d := s.degradedDecision(be, gen, shape, reasonBudget)
-		s.account(be, gen, shape, &d)
-		buf = appendDecision(buf, &d)
-		buf = append(buf, '\n')
-		writeRawJSON(w, http.StatusOK, buf)
-		return
-	}
-	defer release()
-	be.inflight.Add(1)
-	defer be.inflight.Add(-1)
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-	defer cancel()
-	start := time.Now()
-	d, err := s.decide(ctx, be, shape)
-	if err != nil {
-		writeRetryable(w, http.StatusServiceUnavailable, errorResponse{Error: "request deadline exceeded"})
-		return
-	}
-	if d.Degraded {
-		markNoLatency(w)
-	} else if !d.Cached {
-		ewmaObserve(&be.latencyEWMA, time.Since(start))
-	}
-	buf = appendDecision(buf, &d)
+	markDegraded(w, d[:])
+	buf = appendDecision(buf, &d[0])
 	buf = append(buf, '\n')
 	writeRawJSON(w, http.StatusOK, buf)
 }
@@ -853,53 +888,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		shapes[i] = shape
 	}
 
-	// One admission token covers the whole batch (it is one request's worth
-	// of concurrency); budget exhaustion degrades every shape in it.
-	release, degraded, shed := s.admit(w, be)
-	if shed {
+	results := make([]Decision, len(shapes))
+	if err := s.decide(r.Context(), be, shapes, results); err != nil {
+		writeDecideError(w, be, err)
 		return
 	}
-	if degraded {
-		gen := be.gen.Load()
-		results := make([]Decision, len(shapes))
-		for i, sh := range shapes {
-			results[i] = s.degradedDecision(be, gen, sh, reasonBudget)
-			s.account(be, gen, sh, &results[i])
-		}
-		markNoLatency(w)
-		writeBatch(w, results)
-		return
-	}
-	defer release()
-	be.inflight.Add(1)
-	defer be.inflight.Add(-1)
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-	defer cancel()
-	start := time.Now()
-	results := par.Map(s.opts.Workers, len(shapes), func(i int) Decision {
-		d, err := s.decide(ctx, be, shapes[i])
-		if err != nil {
-			return Decision{} // deadline hit: stop pricing, the request is void
-		}
-		return d
-	})
-	if ctx.Err() != nil {
-		writeRetryable(w, http.StatusServiceUnavailable, errorResponse{Error: "request deadline exceeded"})
-		return
-	}
-	anyDegraded := false
-	for _, d := range results {
-		if d.Degraded {
-			anyDegraded = true
-			break
-		}
-	}
-	if anyDegraded {
-		markNoLatency(w)
-	} else {
-		ewmaObserve(&be.latencyEWMA, time.Since(start))
-	}
+	markDegraded(w, results)
 	writeBatch(w, results)
 }
 
@@ -1036,26 +1030,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	stats := make([]backendStats, len(s.backends))
 	for i, be := range s.backends {
 		gen := be.gen.Load()
-		hits, misses := gen.cache.stats()
 		state, trips := be.breaker.snapshot()
 		warmTotal, _, warmDone := gen.warmSnapshot()
 		st := backendStats{
-			device:     be.name,
-			infoLine:   gen.infoLine,
-			generation: gen.id,
-			compiled:   gen.compiled,
-			// Cache and warm counters are cumulative across generation
-			// swaps: the serving generation's live counts ride on the bases
-			// accumulated from displaced generations, so the rendered
-			// counters never decrease on reload.
-			hits:            be.cacheHitsBase.Load() + hits,
-			misses:          be.cacheMissesBase.Load() + misses,
+			device:          be.name,
+			infoLine:        gen.infoLine,
+			generation:      gen.id,
+			compiled:        gen.compiled,
+			hits:            be.cacheHits.Load(),
+			misses:          be.cacheMisses.Load(),
 			entries:         gen.cache.len(),
 			inflight:        be.inflight.Load(),
 			budgetFree:      be.budgetFree(),
 			budgetCap:       be.budgetCap,
 			shed:            be.shed.Load(),
-			coalesced:       be.coalesced.Load(),
 			ewmaSeconds:     ewmaValue(&be.latencyEWMA).Seconds(),
 			breakerState:    state,
 			breakerTrips:    trips,

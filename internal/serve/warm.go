@@ -18,12 +18,11 @@ import (
 //
 // The warm pass runs outside the serving ladder on purpose: it takes no
 // admission token, feeds no latency EWMA and no circuit breaker (it describes
-// the warm pass, not client service), and bypasses the single-flight group —
-// a request racing the warm pass for the same shape may duplicate one pricing
-// pass, and both sides put identical values. Warm decisions are computed by
-// the generation itself, so a cancelled pass can never leak a stale
-// generation's decision into a newer generation's cache: each generation only
-// ever warms its own private cache.
+// the warm pass, not client service). A request racing the warm pass for the
+// same shape may duplicate one pricing pass; both sides put identical
+// values. Warm decisions are computed by the generation itself, so a
+// cancelled pass can never leak a stale generation's decision into a newer
+// generation's cache: each generation only ever warms its own private cache.
 
 // startWarm launches the generation's warm pass, or latches warmDone
 // immediately when there is nothing to warm (warming disabled, no cache to

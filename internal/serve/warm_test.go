@@ -41,7 +41,7 @@ func TestWarmFillsCache(t *testing.T) {
 		t.Fatalf("warm cache holds %d entries, want %d", n, len(reloadShapes))
 	}
 	for _, s := range reloadShapes {
-		d, err := srv.decide(context.Background(), be, s)
+		d, err := srv.Decide(context.Background(), be.name, s)
 		if err != nil {
 			t.Fatal(err)
 		}
