@@ -10,14 +10,14 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
+
+	"kernelselect/internal/obs"
 )
 
 // regretSummary is one device's sampled-regret digest for the JSON report.
@@ -40,104 +40,86 @@ type regretSummary struct {
 // enabled returns an empty slice, not an error.
 func scrapeRegret(url string, timeout time.Duration) ([]regretSummary, error) {
 	deadline := time.Now().Add(timeout)
-	var m map[string]float64
+	var p *obs.Page
 	for {
 		var err error
-		m, err = fetchMetrics(url + "/metrics")
-		if err != nil {
+		if p, err = scrapeMetrics(url); err != nil {
 			return nil, err
 		}
-		if regretSettled(m) || time.Now().After(deadline) {
+		if regretSettled(p) || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
 
 	var out []regretSummary
-	for _, dev := range metricDevices(m, "selectd_decisions_sampled_total") {
-		sampled := uint64(m[fmt.Sprintf("selectd_decisions_sampled_total{device=%q}", dev)])
+	for _, dev := range metricDevices(p, "selectd_decisions_sampled_total") {
+		at := deviceSeries(p, dev)
+		sampled := uint64(at("selectd_decisions_sampled_total"))
 		if sampled == 0 {
 			continue
 		}
-		count := m[fmt.Sprintf("selectd_regret_count{device=%q}", dev)]
-		sum := m[fmt.Sprintf("selectd_regret_sum{device=%q}", dev)]
 		rs := regretSummary{
 			Device:  dev,
 			Sampled: sampled,
-			Dropped: uint64(m[fmt.Sprintf("selectd_regret_dropped_total{device=%q}", dev)]),
-			Drift:   m[fmt.Sprintf("selectd_drift_score{device=%q}", dev)],
-			Window:  int(m[fmt.Sprintf("selectd_window_size{device=%q}", dev)]),
+			Dropped: uint64(at("selectd_regret_dropped_total")),
+			Drift:   at("selectd_drift_score"),
+			Window:  int(at("selectd_window_size")),
 		}
-		if count > 0 {
-			rs.Mean = sum / count
-			buckets := histogramBuckets(m, "selectd_regret", dev)
+		if count := at("selectd_regret_count"); count > 0 {
+			rs.Mean = at("selectd_regret_sum") / count
+			buckets := histogramBuckets(p, "selectd_regret", dev)
 			rs.P50 = histogramQuantile(buckets, 0.50)
 			rs.P95 = histogramQuantile(buckets, 0.95)
 			rs.P99 = histogramQuantile(buckets, 0.99)
 		}
 		out = append(out, rs)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Device < out[j].Device })
-	return out, nil
+	return out, nil // in metricDevices' sorted order
 }
 
 // regretSettled reports whether every sampled decision has been measured or
 // accounted as dropped, per device — the point where the histograms are
 // consistent with the run that just finished.
-func regretSettled(m map[string]float64) bool {
-	for _, dev := range metricDevices(m, "selectd_decisions_sampled_total") {
-		sampled := m[fmt.Sprintf("selectd_decisions_sampled_total{device=%q}", dev)]
-		measured := m[fmt.Sprintf("selectd_regret_count{device=%q}", dev)] +
-			m[fmt.Sprintf("selectd_regret_degraded_count{device=%q}", dev)] +
-			m[fmt.Sprintf("selectd_regret_dropped_total{device=%q}", dev)]
-		if measured < sampled {
+func regretSettled(p *obs.Page) bool {
+	for _, dev := range metricDevices(p, "selectd_decisions_sampled_total") {
+		at := deviceSeries(p, dev)
+		if at("selectd_regret_count")+at("selectd_regret_degraded_count")+at("selectd_regret_dropped_total") <
+			at("selectd_decisions_sampled_total") {
 			return false
 		}
 	}
 	return true
 }
 
-// fetchMetrics pulls a Prometheus text page into series-line → value.
-func fetchMetrics(url string) (map[string]float64, error) {
-	resp, err := http.Get(url)
+// deviceSeries reads one device's value of a device-labelled series.
+func deviceSeries(p *obs.Page, dev string) func(name string) float64 {
+	return func(name string) float64 { return p.Series[fmt.Sprintf("%s{device=%q}", name, dev)] }
+}
+
+// scrapeMetrics fetches and parses url/metrics.
+func scrapeMetrics(url string) (*obs.Page, error) {
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: status %d", url, resp.StatusCode)
+		return nil, fmt.Errorf("%s/metrics: status %d", url, resp.StatusCode)
 	}
-	raw, err := io.ReadAll(resp.Body)
+	p, err := obs.ParseText(resp.Body)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s/metrics: %w", url, err)
 	}
-	m := map[string]float64{}
-	for _, line := range strings.Split(string(raw), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			continue
-		}
-		m[line[:i]] = v
-	}
-	return m, nil
+	return p, nil
 }
 
-// metricDevices lists the device labels present for one series name.
-func metricDevices(m map[string]float64, series string) []string {
-	prefix := series + `{device="`
+// metricDevices lists the device labels present in one family.
+func metricDevices(p *obs.Page, family string) []string {
 	var devs []string
-	for k := range m {
-		if rest, ok := strings.CutPrefix(k, prefix); ok {
-			if j := strings.IndexByte(rest, '"'); j >= 0 {
-				devs = append(devs, rest[:j])
-			}
+	if f := p.Families[family]; f != nil {
+		for _, s := range f.Samples {
+			devs = append(devs, s.Label("device"))
 		}
 	}
 	sort.Strings(devs)
@@ -150,27 +132,17 @@ type bucket struct {
 }
 
 // histogramBuckets extracts one device's cumulative buckets, sorted by bound.
-func histogramBuckets(m map[string]float64, series, dev string) []bucket {
-	prefix := fmt.Sprintf("%s_bucket{device=%q,le=\"", series, dev)
+func histogramBuckets(p *obs.Page, family, dev string) []bucket {
 	var bs []bucket
-	for k, v := range m {
-		rest, ok := strings.CutPrefix(k, prefix)
-		if !ok {
-			continue
-		}
-		j := strings.IndexByte(rest, '"')
-		if j < 0 {
-			continue
-		}
-		le := math.Inf(1)
-		if rest[:j] != "+Inf" {
-			f, err := strconv.ParseFloat(rest[:j], 64)
-			if err != nil {
+	if f := p.Families[family]; f != nil {
+		for _, s := range f.Samples {
+			if s.Name != family+"_bucket" || s.Label("device") != dev {
 				continue
 			}
-			le = f
+			if le, err := strconv.ParseFloat(s.Label("le"), 64); err == nil { // "+Inf" parses too
+				bs = append(bs, bucket{le: le, cum: s.Value})
+			}
 		}
-		bs = append(bs, bucket{le: le, cum: v})
 	}
 	sort.Slice(bs, func(i, j int) bool { return bs[i].le < bs[j].le })
 	return bs

@@ -21,15 +21,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
 	"runtime/debug"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -494,8 +491,10 @@ func runWarmedPhase(sc scaleoutConfig) (*warmedReport, error) {
 		// previous step outside the measured window, so no collection lands
 		// mid-step on a small host.
 		runtime.GC()
-		hits0, _ := scrapeMetric(f.rts.URL, "selectrouter_cache_hits_total")
-		miss0, _ := scrapeMetric(f.rts.URL, "selectrouter_cache_misses_total")
+		before, err := scrapeMetrics(f.rts.URL)
+		if err != nil {
+			return nil, err
+		}
 		r, err := run(config{
 			url:      f.rts.URL,
 			qps:      qps,
@@ -506,8 +505,10 @@ func runWarmedPhase(sc scaleoutConfig) (*warmedReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		hits1, _ := scrapeMetric(f.rts.URL, "selectrouter_cache_hits_total")
-		miss1, _ := scrapeMetric(f.rts.URL, "selectrouter_cache_misses_total")
+		after, err := scrapeMetrics(f.rts.URL)
+		if err != nil {
+			return nil, err
+		}
 		pt := warmedPoint{OfferedQPS: qps, AchievedQPS: r.AchievedQPS}
 		for _, d := range r.Devices {
 			pt.P99Micros = d.P99Micros
@@ -515,7 +516,8 @@ func runWarmedPhase(sc scaleoutConfig) (*warmedReport, error) {
 			pt.Errors = d.Errors
 			pt.FullServiceQPS = r.AchievedQPS * (1 - d.DegradedRate - d.ShedRate)
 		}
-		if dh, dm := hits1-hits0, miss1-miss0; dh+dm > 0 {
+		delta := func(name string) float64 { return after.Series[name] - before.Series[name] }
+		if dh, dm := delta("selectrouter_cache_hits_total"), delta("selectrouter_cache_misses_total"); dh+dm > 0 {
 			pt.EdgeHitRate = dh / (dh + dm)
 		}
 		wr.Points = append(wr.Points, pt)
@@ -579,26 +581,6 @@ func warmShape(client *http.Client, url string, s gemm.Shape) error {
 		time.Sleep(20 * time.Millisecond)
 	}
 	return fmt.Errorf("shape %dx%dx%d never reached full quality during the warm pass", s.M, s.K, s.N)
-}
-
-// scrapeMetric reads one un-labeled metric value from the router's
-// Prometheus text exposition.
-func scrapeMetric(url, name string) (float64, error) {
-	resp, err := http.Get(url + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, err
-	}
-	for _, line := range strings.Split(string(raw), "\n") {
-		if rest, ok := strings.CutPrefix(line, name+" "); ok {
-			return strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		}
-	}
-	return 0, fmt.Errorf("metric %s not found in %s/metrics", name, url)
 }
 
 // gateWarmed enforces the fast-path contract at the top offered step: the

@@ -34,7 +34,14 @@
 //	POST /v1/cluster       merge a peer router's view
 //	POST /v1/reload        {"replica":"...","device":"..."} rolling reload with peer warming
 //	GET  /healthz          200 always (the router degrades, it does not die); body counts replicas up
-//	GET  /metrics          Prometheus text: router_requests_total, router_retries_total, router_hedges_total, ...
+//	GET  /metrics          Prometheus text, every family with HELP and TYPE:
+//	                       router_requests_total{endpoint,code}, router_retries_total,
+//	                       router_hedges_total, router_hedge_wins_total, router_fallback_total,
+//	                       router_probes_total, router_gossip_merges_total, router_reloads_total,
+//	                       router_warmed_shapes_total, router_replica_errors_total,
+//	                       router_replica_wins_total{replica}, router_replica_up{replica},
+//	                       selectrouter_cache_{hits,misses,invalidations}_total,
+//	                       selectrouter_coalesced_total, selectrouter_batchsize (histogram)
 //
 // Usage:
 //

@@ -77,7 +77,7 @@ func (r *Router) routeCoalesced(ctx context.Context, device string, shape gemm.S
 		if res.hedge {
 			r.metrics.hedgeWins.Add(1)
 		}
-		r.metrics.batchSizes.observe(1)
+		r.metrics.batchSizes.Observe(1)
 		r.cacheFillBody(device, shape, res.idx, res.status, res.body)
 		return res.status, res.body, true
 	}
@@ -134,7 +134,7 @@ func (r *Router) flushWindow(b *repBatcher, device string, g *batchGroup) {
 func (r *Router) flushBatch(b *repBatcher, g *batchGroup) {
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
-	r.metrics.batchSizes.observe(len(g.shapes))
+	r.metrics.batchSizes.Observe(float64(len(g.shapes)))
 
 	ctx, cancel := context.WithTimeout(context.Background(), flushTimeout)
 	defer cancel()

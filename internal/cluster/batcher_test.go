@@ -150,7 +150,7 @@ func TestBatcherSoloBypassesWindow(t *testing.T) {
 	if got := gate.batches.Load(); got != 0 {
 		t.Errorf("%d upstream batch calls for an isolated miss, want 0", got)
 	}
-	if got := f.router.metrics.batchSizes.count.Load(); got != 1 {
+	if got := f.router.metrics.batchSizes.Count(); got != 1 {
 		t.Errorf("batch-size histogram count %d, want 1 (the solo dispatch observes size 1)", got)
 	}
 }

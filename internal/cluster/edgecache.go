@@ -127,9 +127,10 @@ func (c *edgeCache) get(device []byte, shape gemm.Shape) []byte {
 		return nil
 	}
 	sh.lru.MoveToFront(el)
+	body := e.body // put may refill the entry in place once the lock drops
 	sh.mu.Unlock()
 	c.metrics.edgeHits.Add(1)
-	return e.body
+	return body
 }
 
 // deviceFor returns (creating on first use) the channel for one

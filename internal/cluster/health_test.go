@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -43,6 +46,91 @@ func TestHealthMergeSeqWins(t *testing.T) {
 				t.Errorf("adopted %d entries, want %d", adopted, wantAdopted)
 			}
 		})
+	}
+}
+
+// mergeViews draws random gossip views from one observation history: each
+// (replica, seq) pair names a single observation, as it does when every view
+// is a snapshot of the same replicas' observations. A view may omit replicas
+// and may carry one the roster does not know.
+type mergeViews struct {
+	rng   *rand.Rand
+	names []string
+}
+
+var mergeRoster = []string{"replica-a", "replica-b", "replica-c", "replica-d"}
+
+func (g mergeViews) observation(name string, seq uint64) ReplicaHealth {
+	states := []string{StateUp, StateDown, StateWarming}
+	h := ReplicaHealth{Name: name, State: states[(int(seq)+len(name))%len(states)], Seq: seq}
+	if seq%2 == 0 {
+		h.Generations = map[string]uint64{"r9nano": seq}
+	} else {
+		h.Err = "observation " + strconv.FormatUint(seq, 10)
+	}
+	return h
+}
+
+func (g mergeViews) view() View {
+	var v View
+	for _, n := range append(g.names, "replica-unknown") {
+		if g.rng.Intn(4) > 0 {
+			v.Replicas = append(v.Replicas, g.observation(n, uint64(g.rng.Intn(8))))
+		}
+	}
+	g.rng.Shuffle(len(v.Replicas), func(i, j int) { v.Replicas[i], v.Replicas[j] = v.Replicas[j], v.Replicas[i] })
+	return v
+}
+
+// TestHealthMergeProperties checks the seq-wins merge over seeded random
+// views: merging a view twice equals merging it once, merge order does not
+// matter, and no replica's seq ever goes down, with local observations
+// interleaved. A failing seed reproduces on its own.
+func TestHealthMergeProperties(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		g := mergeViews{rng: rand.New(rand.NewSource(seed)), names: mergeRoster}
+		base, a, b := g.view(), g.view(), g.view()
+		fresh := func() *healthTable {
+			tbl := newHealthTable(mergeRoster)
+			tbl.merge(base)
+			return tbl
+		}
+
+		once := fresh()
+		once.merge(a)
+		twice := fresh()
+		twice.merge(a)
+		if n := twice.merge(a); n != 0 {
+			t.Fatalf("seed %d: merging a view again adopted %d entries", seed, n)
+		}
+		if !reflect.DeepEqual(once.snapshot(""), twice.snapshot("")) {
+			t.Fatalf("seed %d: merge not idempotent:\n once  %+v\n twice %+v", seed, once.snapshot(""), twice.snapshot(""))
+		}
+
+		ab, ba := fresh(), fresh()
+		ab.merge(a)
+		ab.merge(b)
+		ba.merge(b)
+		ba.merge(a)
+		if !reflect.DeepEqual(ab.snapshot(""), ba.snapshot("")) {
+			t.Fatalf("seed %d: merge order matters:\n A,B %+v\n B,A %+v", seed, ab.snapshot(""), ba.snapshot(""))
+		}
+
+		tbl := fresh()
+		seqs := map[string]uint64{}
+		for step := 0; step < 20; step++ {
+			if g.rng.Intn(3) == 0 {
+				tbl.observe(mergeRoster[g.rng.Intn(len(mergeRoster))], StateDown, nil, "local")
+			} else {
+				tbl.merge(g.view())
+			}
+			for _, e := range tbl.snapshot("").Replicas {
+				if e.Seq < seqs[e.Name] {
+					t.Fatalf("seed %d step %d: %s seq went %d -> %d", seed, step, e.Name, seqs[e.Name], e.Seq)
+				}
+				seqs[e.Name] = e.Seq
+			}
+		}
 	}
 }
 

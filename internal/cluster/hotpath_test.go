@@ -99,6 +99,24 @@ func TestRouterCacheHitAllocations(t *testing.T) {
 	}
 }
 
+// TestRouterResponseCountAllocations pins the accounting of every response
+// that is not an edge hit: resolving the endpoint and status code to its
+// counter is a table load, so counting one allocates nothing.
+func TestRouterResponseCountAllocations(t *testing.T) {
+	m := newRouterMetrics([]string{"replica-a"}, newHealthTable([]string{"replica-a"}))
+	count := func() {
+		m.request("select", http.StatusOK)
+		m.request("batch", http.StatusBadGateway)
+	}
+	count() // first sight of each code creates its series
+	if allocs := testing.AllocsPerRun(500, count); allocs != 0 {
+		t.Errorf("counting a routed response allocates %.1f objects, want 0", allocs/2)
+	}
+	if got := m.requests["select"].For(http.StatusOK).Load(); got != 502 {
+		t.Errorf("select 200 counted %d times, want 502", got)
+	}
+}
+
 func BenchmarkRouterCacheHit(b *testing.B) {
 	f := newTestFleet(b, 1, Options{HedgeDelay: -1, EdgeCacheSize: 1024},
 		serveOptionsForTests(), nil)
@@ -127,7 +145,7 @@ func BenchmarkRouterCoalesce(b *testing.B) {
 	if warm.w.code != http.StatusOK {
 		b.Fatalf("warm request failed: %d", warm.w.code)
 	}
-	before := f.router.metrics.batchSizes.count.Load()
+	before := f.router.metrics.batchSizes.Count()
 
 	var total, failed atomic.Int64
 	b.SetParallelism(8)
@@ -146,7 +164,7 @@ func BenchmarkRouterCoalesce(b *testing.B) {
 	if n := failed.Load(); n > 0 {
 		b.Fatalf("%d of %d requests failed", n, total.Load())
 	}
-	if upstream := f.router.metrics.batchSizes.count.Load() - before; upstream > 0 {
+	if upstream := f.router.metrics.batchSizes.Count() - before; upstream > 0 {
 		b.ReportMetric(float64(total.Load())/float64(upstream), "reqs/upstream")
 	}
 }

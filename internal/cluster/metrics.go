@@ -1,149 +1,75 @@
 package cluster
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
-)
-
-// routerMetrics is the router's dependency-free Prometheus-text registry.
-// Fixed counters are plain atomics; the per-endpoint-per-code request
-// counters live in a sync.Map keyed "endpoint|code" (read-mostly after the
-// first request of each kind). The hot path pre-resolves its counter once via
-// counter() so a cache hit costs one atomic add, not a map lookup and a
-// formatted key.
-type routerMetrics struct {
-	requests sync.Map // "endpoint|code" -> *atomic.Uint64
-
-	retries   atomic.Uint64 // sequential failover attempts beyond the first
-	hedges    atomic.Uint64 // hedged attempts launched
-	hedgeWins atomic.Uint64 // requests won by the hedge, counted once
-	fallbacks atomic.Uint64 // router-local degraded answers (replica_down)
-	probes    atomic.Uint64 // health probes issued
-	merges    atomic.Uint64 // gossip entries adopted from peers
-	reloads   atomic.Uint64 // replica reloads orchestrated
-	warmed    atomic.Uint64 // shapes peer-warmed into reloading replicas
-	repErrors atomic.Uint64 // replica transport errors observed
-
-	// Edge fast-path series: cache traffic, single-flight shape joins
-	// absorbed by the micro-batcher, and the size distribution of upstream
-	// dispatches (a solo dispatch observes 1).
-	edgeHits          atomic.Uint64
-	edgeMisses        atomic.Uint64
-	edgeInvalidations atomic.Uint64
-	coalesced         atomic.Uint64
-	batchSizes        sizeHistogram
-
-	// wins counts, per replica, responses actually returned to a client —
-	// a hedged request increments exactly one replica's counter.
-	wins []atomic.Uint64
-	reps []string
-}
-
-func newRouterMetrics(replicas []string) *routerMetrics {
-	return &routerMetrics{wins: make([]atomic.Uint64, len(replicas)), reps: append([]string(nil), replicas...)}
-}
-
-// counter resolves (creating on first use) the request counter for one
-// endpoint/code pair, so hot paths can hold the *atomic.Uint64 directly.
-func (m *routerMetrics) counter(endpoint string, code int) *atomic.Uint64 {
-	key := fmt.Sprintf("%s|%d", endpoint, code)
-	c, ok := m.requests.Load(key)
-	if !ok {
-		c, _ = m.requests.LoadOrStore(key, &atomic.Uint64{})
-	}
-	return c.(*atomic.Uint64)
-}
-
-func (m *routerMetrics) request(endpoint string, code int) {
-	m.counter(endpoint, code).Add(1)
-}
+import "kernelselect/internal/obs"
 
 // sizeBounds are the selectrouter_batchsize bucket upper bounds; sizes above
 // the last land in +Inf.
-var sizeBounds = [7]uint64{1, 2, 4, 8, 16, 32, 64}
+var sizeBounds = []float64{1, 2, 4, 8, 16, 32, 64}
 
-// sizeHistogram is a fixed-bucket histogram of upstream dispatch sizes.
-type sizeHistogram struct {
-	buckets [8]atomic.Uint64 // le 1,2,4,8,16,32,64,+Inf
-	sum     atomic.Uint64
-	count   atomic.Uint64
+// routerMetrics is the router's registry and the series its paths write,
+// each resolved once here so a hot path pays one atomic add. The requests
+// map is filled here and only read afterwards.
+type routerMetrics struct {
+	reg      *obs.Registry
+	requests map[string]*obs.CodeCounters // by endpoint
+
+	retries, hedges, hedgeWins, fallbacks, probes, merges, reloads, warmed, repErrors *obs.Counter
+
+	edgeHits, edgeMisses, edgeInvalidations, coalesced *obs.Counter
+	batchSizes                                         *obs.Histogram
+
+	// wins counts, per replica, responses actually returned to a client —
+	// a hedged request increments exactly one replica's counter.
+	wins []*obs.Counter
 }
 
-func (h *sizeHistogram) observe(n int) {
-	i := 0
-	for i < len(sizeBounds) && uint64(n) > sizeBounds[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
-	h.sum.Add(uint64(n))
-	h.count.Add(1)
-}
+// newRouterMetrics registers the router families; the replica_up gauge
+// reads health at scrape time.
+func newRouterMetrics(replicas []string, health *healthTable) *routerMetrics {
+	reg := obs.NewRegistry()
+	counter := func(name, help string) *obs.Counter { return reg.Counter(name, help).With() }
+	reqs := reg.Counter("router_requests_total", "Responses returned to clients, by endpoint and status code.", "endpoint", "code")
+	m := &routerMetrics{
+		reg:      reg,
+		requests: make(map[string]*obs.CodeCounters),
 
-// render emits the router series; upFn supplies the health gauge per replica.
-func (m *routerMetrics) render(upFn func(name string) float64) string {
-	var b strings.Builder
-	b.WriteString("# TYPE router_requests_total counter\n")
-	type kv struct {
-		key string
-		val uint64
+		retries:   counter("router_retries_total", "Sequential failover attempts beyond the first."),
+		hedges:    counter("router_hedges_total", "Hedged attempts launched."),
+		hedgeWins: counter("router_hedge_wins_total", "Requests answered by the hedged attempt."),
+		fallbacks: counter("router_fallback_total", "Degraded answers from the router-local engine with no routable replica."),
+		probes:    counter("router_probes_total", "Replica health probes issued."),
+		merges:    counter("router_gossip_merges_total", "Replica health entries adopted from peer gossip."),
+		reloads:   counter("router_reloads_total", "Replica reloads orchestrated."),
+		warmed:    counter("router_warmed_shapes_total", "Shapes peer-warmed into reloading replicas."),
+		repErrors: counter("router_replica_errors_total", "Replica transport errors observed."),
+
+		edgeHits:          counter("selectrouter_cache_hits_total", "Selects answered from the edge cache."),
+		edgeMisses:        counter("selectrouter_cache_misses_total", "Selects the edge cache could not answer."),
+		edgeInvalidations: counter("selectrouter_cache_invalidations_total", "Edge-cache entries evicted by a replica generation bump."),
+		coalesced:         counter("selectrouter_coalesced_total", "Selects that joined an in-flight upstream call for the same shape."),
+		batchSizes: reg.Histogram("selectrouter_batchsize", "Distinct shapes per upstream dispatch of the micro-batcher (a solo dispatch observes 1).",
+			sizeBounds).With(),
 	}
-	var reqs []kv
-	m.requests.Range(func(k, v any) bool {
-		reqs = append(reqs, kv{k.(string), v.(*atomic.Uint64).Load()})
-		return true
+	for _, ep := range []string{"select", "batch", "reload", "cluster"} {
+		m.requests[ep] = reqs.Codes(ep)
+	}
+	wins := reg.Counter("router_replica_wins_total", "Responses returned to clients, by the replica that answered.", "replica")
+	for _, name := range replicas {
+		m.wins = append(m.wins, wins.With(name))
+	}
+	reg.Gauge("router_replica_up", "Whether a replica is up in the router's health view (1) or not (0).", []string{"replica"}, func(emit obs.Emit) {
+		for _, name := range replicas {
+			up := 0.0
+			if health.state(name) == StateUp {
+				up = 1
+			}
+			emit(up, name)
+		}
 	})
-	sort.Slice(reqs, func(i, j int) bool { return reqs[i].key < reqs[j].key })
-	for _, r := range reqs {
-		parts := strings.SplitN(r.key, "|", 2)
-		fmt.Fprintf(&b, "router_requests_total{endpoint=%q,code=%q} %d\n", parts[0], parts[1], r.val)
-	}
+	return m
+}
 
-	counter := func(name string, v uint64) {
-		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", name, name, v)
-	}
-	counter("router_retries_total", m.retries.Load())
-	counter("router_hedges_total", m.hedges.Load())
-	counter("router_hedge_wins_total", m.hedgeWins.Load())
-	counter("router_fallback_total", m.fallbacks.Load())
-	counter("router_probes_total", m.probes.Load())
-	counter("router_gossip_merges_total", m.merges.Load())
-	counter("router_reloads_total", m.reloads.Load())
-	counter("router_warmed_shapes_total", m.warmed.Load())
-	counter("router_replica_errors_total", m.repErrors.Load())
-
-	counter("selectrouter_cache_hits_total", m.edgeHits.Load())
-	counter("selectrouter_cache_misses_total", m.edgeMisses.Load())
-	counter("selectrouter_cache_invalidations_total", m.edgeInvalidations.Load())
-	counter("selectrouter_coalesced_total", m.coalesced.Load())
-	hits, misses := m.edgeHits.Load(), m.edgeMisses.Load()
-	rate := 0.0
-	if hits+misses > 0 {
-		rate = float64(hits) / float64(hits+misses)
-	}
-	fmt.Fprintf(&b, "# TYPE selectrouter_cache_hit_rate gauge\nselectrouter_cache_hit_rate %g\n", rate)
-
-	b.WriteString("# TYPE selectrouter_batchsize histogram\n")
-	cum := uint64(0)
-	for i, bound := range sizeBounds {
-		cum += m.batchSizes.buckets[i].Load()
-		fmt.Fprintf(&b, "selectrouter_batchsize_bucket{le=%q} %d\n", strconv.FormatUint(bound, 10), cum)
-	}
-	cum += m.batchSizes.buckets[len(sizeBounds)].Load()
-	fmt.Fprintf(&b, "selectrouter_batchsize_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(&b, "selectrouter_batchsize_sum %d\n", m.batchSizes.sum.Load())
-	fmt.Fprintf(&b, "selectrouter_batchsize_count %d\n", m.batchSizes.count.Load())
-
-	b.WriteString("# TYPE router_replica_wins_total counter\n")
-	for i, name := range m.reps {
-		fmt.Fprintf(&b, "router_replica_wins_total{replica=%q} %d\n", name, m.wins[i].Load())
-	}
-	b.WriteString("# TYPE router_replica_up gauge\n")
-	for _, name := range m.reps {
-		fmt.Fprintf(&b, "router_replica_up{replica=%q} %g\n", name, upFn(name))
-	}
-	return b.String()
+// request counts one response returned to a client.
+func (m *routerMetrics) request(endpoint string, code int) {
+	m.requests[endpoint].For(code).Add(1)
 }

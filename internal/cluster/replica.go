@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -359,18 +360,20 @@ func (r *Replica) WarmConns(ctx context.Context, n int) {
 }
 
 // parseRetryAfter interprets one Retry-After header value. RFC 7231 allows
-// both delta-seconds and an HTTP-date; dates are measured against now.
-// Non-positive delays, the past, and garbage report ok=false.
+// both delta-seconds (digits only, so no sign) and an HTTP-date; dates are
+// measured against now. A delay too long for a Duration saturates at the
+// largest one. Zero delays, the past, and garbage report ok=false.
 func parseRetryAfter(v string, now time.Time) (time.Duration, bool) {
 	v = strings.TrimSpace(v)
 	if v == "" {
 		return 0, false
 	}
-	if secs, err := strconv.Atoi(v); err == nil {
-		if secs <= 0 {
-			return 0, false
+	if strings.Trim(v, "0123456789") == "" {
+		secs, err := strconv.ParseUint(v, 10, 64) // digits only: err is a range error
+		if err != nil || secs > math.MaxInt64/uint64(time.Second) {
+			return math.MaxInt64, true
 		}
-		return time.Duration(secs) * time.Second, true
+		return time.Duration(secs) * time.Second, secs > 0
 	}
 	if t, err := http.ParseTime(v); err == nil {
 		if d := t.Sub(now); d > 0 {

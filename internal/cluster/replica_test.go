@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,6 +39,10 @@ func TestParseRetryAfter(t *testing.T) {
 		{"trailing-junk", "5 seconds", 0, false},
 		{"mixed-digits", "5x", 0, false},
 		{"float", "2.5", 0, false},
+		{"delta-plus-sign", "+5", 0, false},
+		{"delta-leading-zeros", "007", 7 * time.Second, true},
+		{"delta-overflow", "10000000000", math.MaxInt64, true},
+		{"delta-huge", "99999999999999999999999999", math.MaxInt64, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -67,6 +73,43 @@ func TestRetryAfterOrDefault(t *testing.T) {
 	h.Set("Retry-After", "nonsense")
 	if got := retryAfterOrDefault(h, def); got != def {
 		t.Errorf("garbage header: %v, want default %v", got, def)
+	}
+}
+
+// FuzzParseRetryAfter: whatever a replica sends, an accepted Retry-After is a
+// positive delay, so setBackoff always holds the replica out rather than
+// wrapping to a negative (no-op) backoff; delta-seconds are at least 1s.
+func FuzzParseRetryAfter(f *testing.F) {
+	now := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
+	for _, seed := range []string{"5", "0", "-3", "+5", "10000000000", " 12 ", "2.5",
+		now.Add(time.Minute).Format(http.TimeFormat), now.Add(-time.Minute).Format(http.TimeFormat)} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		d, ok := parseRetryAfter(v, now)
+		if !ok {
+			return
+		}
+		if d <= 0 {
+			t.Fatalf("parseRetryAfter(%q) = (%v, true), want a positive delay", v, d)
+		}
+		if digits := strings.TrimSpace(v); strings.Trim(digits, "0123456789") == "" && d < time.Second {
+			t.Fatalf("delta-seconds %q parsed to %v, under one second", v, d)
+		}
+	})
+}
+
+// A Retry-After too large for a Duration holds the replica out for exactly
+// BackoffCap: it must neither wrap negative nor escape the cap.
+func TestHugeRetryAfterBacksOffForCap(t *testing.T) {
+	f := newTestFleet(t, 1, Options{HedgeDelay: -1, BackoffCap: 300 * time.Millisecond}, serveOptionsForTests(), nil)
+	h := http.Header{}
+	h.Set("Retry-After", "10000000000")
+	before := time.Now()
+	f.router.setBackoff(0, retryAfterOrDefault(h, time.Millisecond))
+	until := time.Unix(0, f.router.backoffUntil[0].Load())
+	if d := until.Sub(before); d < 300*time.Millisecond || d > 300*time.Millisecond+time.Second {
+		t.Fatalf("backoff holds the replica out for %v, want the 300ms cap", d)
 	}
 }
 

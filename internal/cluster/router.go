@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"kernelselect/internal/gemm"
+	"kernelselect/internal/obs"
 	"kernelselect/internal/serve"
 )
 
@@ -116,11 +117,11 @@ type Router struct {
 
 	// edge is the generation-aware response cache (nil when disabled);
 	// batchers holds one micro-batch coalescer per replica (nil when
-	// disabled). selectHit is the pre-resolved select|200 request counter so
-	// the cache-hit path skips the formatted-key metrics lookup.
+	// disabled). selectHit is the pre-resolved select|200 request counter
+	// the cache-hit path adds to.
 	edge      *edgeCache
 	batchers  []repBatcher
-	selectHit *atomic.Uint64
+	selectHit *obs.Counter
 
 	// backoffUntil holds per-replica unix-nano timestamps: a saturated
 	// replica (429/5xx with Retry-After) is deprioritized until then, but
@@ -149,19 +150,20 @@ func New(opts Options) (*Router, error) {
 	for i, rep := range opts.Replicas {
 		names[i] = rep.Name
 	}
+	health := newHealthTable(names)
 	r := &Router{
 		name:         opts.Name,
 		replicas:     opts.Replicas,
 		local:        opts.Local,
 		ring:         newRing(len(opts.Replicas), opts.Vnodes),
-		health:       newHealthTable(names),
-		metrics:      newRouterMetrics(names),
+		health:       health,
+		metrics:      newRouterMetrics(names, health),
 		opts:         opts,
 		backoffUntil: make([]atomic.Int64, len(opts.Replicas)),
 		gossipHC:     &http.Client{Timeout: 2 * time.Second},
 		stop:         make(chan struct{}),
 	}
-	r.selectHit = r.metrics.counter("select", http.StatusOK)
+	r.selectHit = r.metrics.requests["select"].For(http.StatusOK)
 	if opts.EdgeCacheSize > 0 {
 		r.edge = newEdgeCache(opts.EdgeCacheSize, len(opts.Replicas), r.metrics)
 		// Every generation the health view learns — probes, gossip merges —
@@ -866,17 +868,6 @@ func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Write([]byte("\n"))
 }
 
-func (r *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	up := func(name string) float64 {
-		if r.health.state(name) == StateUp {
-			return 1
-		}
-		return 0
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	io.WriteString(w, r.metrics.render(up))
-}
-
 // Handler returns the router's full HTTP surface.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -886,6 +877,6 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/cluster", r.handleClusterPost)
 	mux.HandleFunc("POST /v1/reload", r.handleReload)
 	mux.HandleFunc("GET /healthz", r.handleHealthz)
-	mux.HandleFunc("GET /metrics", r.handleMetrics)
+	mux.Handle("GET /metrics", r.metrics.reg)
 	return mux
 }

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"kernelselect/internal/obs"
 )
 
 // backend is one device's serving state. The swappable artifact state
@@ -24,8 +26,8 @@ type backend struct {
 	budgetCap int
 
 	inflight atomic.Int64
-	shed     atomic.Uint64
-	degraded [numReasons]atomic.Uint64
+	shed     *obs.Counter
+	degraded [numReasons]*obs.Counter
 
 	// latencyEWMA tracks full-service request latency (float64 nanosecond
 	// bits); the load-aware shed threshold compares against it.
@@ -42,30 +44,30 @@ type backend struct {
 	// unsampled partition it exactly (the accounting invariant the property
 	// tests pin). regretDropped counts samples lost to a full measurement
 	// queue, so sampled == measured + queued + dropped at all times.
-	decisions     atomic.Uint64
-	sampled       atomic.Uint64
-	unsampled     atomic.Uint64
-	regretDropped atomic.Uint64
+	decisions     *obs.Counter
+	sampled       *obs.Counter
+	unsampled     *obs.Counter
+	regretDropped *obs.Counter
 
-	regretHist         *valueHistogram // sampled full-service decision regret
-	regretDegradedHist *valueHistogram // sampled degraded-path (fallback) regret
+	regretHist         *obs.Histogram // sampled full-service decision regret
+	regretDegradedHist *obs.Histogram // sampled degraded-path (fallback) regret
 
 	window    *shapeWindow             // served-shape sliding window; nil disables the loop
 	driftRef  atomic.Pointer[shapeMix] // reference mix drift is scored against
 	driftBits atomic.Uint64            // latest PSI score, float64 bits
 
 	retrainBusy     atomic.Bool // one shadow retrain per backend at a time
-	retrainPromoted atomic.Uint64
-	retrainRejected atomic.Uint64
-	retrainErrors   atomic.Uint64
-	fallbackUpdates atomic.Uint64 // online fallback-config swaps
+	retrainPromoted *obs.Counter
+	retrainRejected *obs.Counter
+	retrainErrors   *obs.Counter
+	fallbackUpdates *obs.Counter // online fallback-config swaps
 
 	// Counters that span generations, so the rendered Prometheus counters
 	// stay monotonic across swaps: decision-cache hits and misses (counted
 	// once per shape by the decide ladder) and shapes the warm passes cached.
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
-	warmedTotal atomic.Uint64
+	cacheHits   *obs.Counter
+	cacheMisses *obs.Counter
+	warmedTotal *obs.Counter
 
 	// reloadCall coalesces concurrent POST /v1/reload requests for this
 	// backend: overlapping requests ride the leader's source read + swap and
@@ -210,7 +212,7 @@ type breaker struct {
 	fails     int
 	openedAt  time.Time
 	trial     bool // a half-open trial request is in flight
-	trips     uint64
+	trips     *obs.Counter
 }
 
 // allow reports whether a full-service attempt may proceed at `now`.
@@ -252,7 +254,7 @@ func (b *breaker) onFailure(now time.Time) {
 	b.trial = false
 	if wasTrial || b.fails >= b.threshold {
 		if b.state != breakerOpen {
-			b.trips++
+			b.trips.Add(1)
 		}
 		b.state = breakerOpen
 		b.openedAt = now
@@ -272,7 +274,7 @@ func (b *breaker) onAbort() {
 func (b *breaker) snapshot() (breakerState, uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.state, b.trips
+	return b.state, b.trips.Load()
 }
 
 // BudgetsQuiesced reports whether every backend's admission budget is fully

@@ -2,11 +2,14 @@ package serve
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"kernelselect/internal/gemm"
+	"kernelselect/internal/obs"
 )
 
 func shapeN(i int) gemm.Shape { return gemm.Shape{M: i + 1, K: 2*i + 1, N: 3*i + 1} }
@@ -127,22 +130,30 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	}
 }
 
+// The request-latency histogram takes seconds over latencyBuckets: a sample
+// under the first bound lands in the first bucket, one past the last only in
+// +Inf, and the sum is exact.
 func TestHistogramBucketsAndSum(t *testing.T) {
-	h := newHistogram()
-	h.observe(3 * time.Microsecond)  // below first bound (5e-6)
-	h.observe(30 * time.Microsecond) // in (2.5e-5, 5e-5]
-	h.observe(2 * time.Second)       // beyond the last bound → +Inf bucket
-	if got := h.count.Load(); got != 3 {
-		t.Fatalf("count %d, want 3", got)
+	reg := obs.NewRegistry()
+	h := reg.Histogram("selectd_request_seconds", "Latency.", latencyBuckets).With()
+	h.Observe((3 * time.Microsecond).Seconds())  // below first bound (5e-6)
+	h.Observe((30 * time.Microsecond).Seconds()) // in (2.5e-5, 5e-5]
+	h.Observe((2 * time.Second).Seconds())       // beyond the last bound → +Inf bucket
+	if got, want := h.Sum(), 2.000033; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("sum %v s, want %v", got, want)
 	}
-	if got := h.buckets[0].Load(); got != 1 {
-		t.Fatalf("first bucket %d, want 1", got)
+	var page strings.Builder
+	if err := reg.WriteText(&page); err != nil {
+		t.Fatal(err)
 	}
-	if got := h.buckets[len(latencyBuckets)].Load(); got != 1 {
-		t.Fatalf("+Inf bucket %d, want 1", got)
-	}
-	wantSum := (3*time.Microsecond + 30*time.Microsecond + 2*time.Second).Nanoseconds()
-	if got := h.sumNano.Load(); got != wantSum {
-		t.Fatalf("sum %d ns, want %d", got, wantSum)
+	for series, want := range map[string]float64{
+		`selectd_request_seconds_bucket{le="5e-06"}`: 1,
+		`selectd_request_seconds_bucket{le="1"}`:     2,
+		`selectd_request_seconds_bucket{le="+Inf"}`:  3,
+		`selectd_request_seconds_count`:              3,
+	} {
+		if got := metricValue(t, page.String(), series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
 	}
 }

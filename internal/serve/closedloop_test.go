@@ -84,8 +84,8 @@ func TestClosedLoopRetrainReducesRegret(t *testing.T) {
 	}
 
 	drive(8) // 48 shifted decisions, all sampled and measured
-	pre := be.regretHist.snapshot()
-	if pre.count == 0 {
+	preCount, preSum := be.regretHist.Count(), be.regretHist.Sum()
+	if preCount == 0 {
 		t.Fatal("no pre-swap regret measurements landed")
 	}
 
@@ -118,17 +118,17 @@ func TestClosedLoopRetrainReducesRegret(t *testing.T) {
 	}
 
 	drive(8) // the same shifted mix through the promoted selector
-	post := be.regretHist.snapshot()
-	if post.count <= pre.count {
-		t.Fatalf("no post-swap measurements: %d -> %d", pre.count, post.count)
+	postCount, postSum := be.regretHist.Count(), be.regretHist.Sum()
+	if postCount <= preCount {
+		t.Fatalf("no post-swap measurements: %d -> %d", preCount, postCount)
 	}
-	preMean := pre.sum / float64(pre.count)
-	postMean := (post.sum - pre.sum) / float64(post.count-pre.count)
+	preMean := preSum / float64(preCount)
+	postMean := (postSum - preSum) / float64(postCount-preCount)
 	if postMean > preMean+1e-12 {
 		t.Errorf("post-swap sampled regret %.6f worse than pre-swap %.6f", postMean, preMean)
 	}
 	t.Logf("drift %.3f; sampled regret %.6f -> %.6f over %d/%d measurements; holdout %.6f vs incumbent %.6f",
-		ev.Drift, preMean, postMean, pre.count, post.count-pre.count, ev.CandidateRegret, ev.IncumbentRegret)
+		ev.Drift, preMean, postMean, preCount, postCount-preCount, ev.CandidateRegret, ev.IncumbentRegret)
 
 	// The loop must settle: promotion rebased the drift reference onto the
 	// observed window, so the same traffic no longer reads as drift and the

@@ -12,6 +12,7 @@ import (
 	"kernelselect/internal/dataset"
 	"kernelselect/internal/device"
 	"kernelselect/internal/gemm"
+	"kernelselect/internal/obs"
 	"kernelselect/internal/sim"
 )
 
@@ -167,7 +168,7 @@ func TestCircuitBreakerTripsAndRecovers(t *testing.T) {
 // trial slot without judging the pricing path.
 func TestBreakerStateMachine(t *testing.T) {
 	now := time.Unix(1000, 0)
-	b := breaker{threshold: 2, cooldown: time.Second}
+	b := breaker{threshold: 2, cooldown: time.Second, trips: new(obs.Counter)}
 
 	if !b.allow(now) {
 		t.Fatal("closed breaker refused")

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"testing"
 )
 
@@ -42,6 +44,47 @@ func FuzzParseSelectBody(f *testing.F) {
 		if req.M != p.m || req.K != p.k || req.N != p.n || req.Device != string(p.device) {
 			t.Fatalf("%q: fast (%d,%d,%d,%q) != stdlib (%d,%d,%d,%q)",
 				body, p.m, p.k, p.n, p.device, req.M, req.K, req.N, req.Device)
+		}
+	})
+}
+
+// FuzzScanDecisionMeta holds the router's body scanner to encoding/json:
+// every body it accepts, json.Unmarshal accepts too (a type error in some
+// other field still binds the rest), with the same generation and degraded
+// flag. That is what keeps a degraded answer out of the edge cache whatever
+// the spelling of its keys. Committed corpus:
+// testdata/fuzz/FuzzScanDecisionMeta.
+func FuzzScanDecisionMeta(f *testing.F) {
+	for _, d := range []Decision{
+		{Device: "amd-r9-nano", Shape: "784x1152x256", Config: "c", Index: 3, PredictedGFLOPS: 1.5, Generation: 7},
+		{Device: "d", Generation: 2, Degraded: true, DegradedReason: "budget"},
+	} {
+		f.Add(appendDecision(nil, &d))
+	}
+	for _, seed := range []string{
+		`{"generation":5,"degraded":true}`,
+		`{"generation":1,"generation":2}`,
+		`{"index":"x","generation":4}`,
+		`{"shape":"a\u003cb","generation":9}`,
+		`{}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		gen, degraded, ok := ScanDecisionMeta(body)
+		if !ok {
+			return
+		}
+		var d Decision
+		if err := json.Unmarshal(body, &d); err != nil {
+			var typeErr *json.UnmarshalTypeError
+			if !errors.As(err, &typeErr) {
+				t.Fatalf("scanner accepted %q, json rejects it: %v", body, err)
+			}
+		}
+		if d.Generation != gen || d.Degraded != degraded {
+			t.Fatalf("%q: scanner (gen %d, degraded %v) != json (gen %d, degraded %v)",
+				body, gen, degraded, d.Generation, d.Degraded)
 		}
 	})
 }

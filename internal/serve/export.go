@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"strconv"
+	"unicode"
 )
 
 // This file is the package's wire toolkit as seen by other tiers. The cluster
@@ -44,10 +47,16 @@ func AppendBatchJSON(b []byte, results []Decision) []byte { return appendBatch(b
 // encoded Decision body without unmarshalling it. It understands any
 // top-level object whose values are scalars — exactly what AppendDecisionJSON
 // and encoding/json produce for Decision — and reports ok=false for anything
-// it cannot fully account for (nested values, malformed syntax), so a caller
+// it cannot fully account for (nested values, syntax json.Valid rejects), so a caller
 // caching bodies by generation never mis-stamps one it did not understand.
+// encoding/json matches keys after unescaping and case-insensitively, so a
+// key with an escape, or one json would bind to generation or degraded
+// without being spelled exactly so (`"DEGRADED"`), reports ok=false too.
 // Trailing whitespace (the Encode newline) is accepted.
 func ScanDecisionMeta(body []byte) (gen uint64, degraded bool, ok bool) {
+	if !json.Valid(body) {
+		return 0, false, false
+	}
 	i := skipSpace(body, 0)
 	if i >= len(body) || body[i] != '{' {
 		return 0, false, false
@@ -58,7 +67,9 @@ func ScanDecisionMeta(body []byte) (gen uint64, degraded bool, ok bool) {
 	}
 	for {
 		key, j, kok := scanMetaString(body, i)
-		if !kok {
+		if !kok || bytes.IndexByte(key, '\\') >= 0 ||
+			string(key) != "generation" && jsonFolds(key, "generation") ||
+			string(key) != "degraded" && jsonFolds(key, "degraded") {
 			return 0, false, false
 		}
 		i = skipSpace(body, j)
@@ -111,9 +122,22 @@ func ScanDecisionMeta(body []byte) (gen uint64, degraded bool, ok bool) {
 	}
 }
 
-// scanMetaString scans a quoted string, tolerating escapes (it only needs the
-// raw bytes for key comparison; escaped keys simply won't match the two
-// fields ScanDecisionMeta cares about, which the encoder never escapes).
+// jsonFolds reports whether encoding/json's case-insensitive match would bind
+// key to the field with the lower-case ASCII name: json folds rune by rune
+// with ToUpper(ToLower(r)), which also maps U+0130 and U+0131 onto 'I'.
+func jsonFolds(key []byte, name string) bool {
+	i := 0
+	for _, r := range string(key) {
+		if i >= len(name) || unicode.ToUpper(unicode.ToLower(r)) != unicode.ToUpper(rune(name[i])) {
+			return false
+		}
+		i++
+	}
+	return i == len(name)
+}
+
+// scanMetaString scans a quoted string, tolerating escapes; it returns the
+// raw bytes between the quotes.
 func scanMetaString(b []byte, i int) (s []byte, next int, ok bool) {
 	if i >= len(b) || b[i] != '"' {
 		return nil, i, false

@@ -78,10 +78,8 @@ type generation struct {
 	uniPool  sync.Pool
 
 	// configsJSON is the /v1/configs response body, rendered once per
-	// generation (the response depends on nothing else). infoLine is the
-	// generation's selectd_info metric line, likewise static per epoch.
+	// generation (the response depends on nothing else).
 	configsJSON []byte
-	infoLine    string
 
 	// Speculative warming state (see warm.go). warmTotal is the number of
 	// shapes the warm pass will price; warmed counts shapes cached so far;
@@ -127,7 +125,6 @@ func (s *Server) newGeneration(device string, lib *core.Library, model *sim.Mode
 		g.choose, g.compiled = compileChooser(lib, s.fallbackShapes)
 	}
 	g.configsJSON = renderConfigs(g)
-	g.infoLine = fmt.Sprintf("selectd_info{selector=%q,device=%q} 1\n", lib.SelectorName(), device)
 	return g
 }
 

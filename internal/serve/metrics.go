@@ -1,45 +1,17 @@
 package serve
 
 import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
+
+	"kernelselect/internal/obs"
 )
 
-// metrics is a dependency-free registry in the Prometheus text exposition
-// format: per-endpoint request counters broken down by status code,
-// per-endpoint latency histograms, and per-device cache, budget, shed and
-// degradation series. Everything is atomics on the hot path; rendering takes
-// the slow path.
-
-// latencyBuckets are the histogram upper bounds in seconds. Selection is
-// microseconds (a tree walk plus at most one pricing pass), so the buckets
-// concentrate there and fan out to catch stragglers.
+// latencyBuckets are the request-latency histogram upper bounds in seconds.
+// Selection is microseconds (a tree walk plus at most one pricing pass), so
+// the buckets concentrate there and fan out to catch stragglers.
 var latencyBuckets = []float64{
 	5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
 	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1, 2.5e-1, 5e-1, 1,
-}
-
-type histogram struct {
-	buckets []atomic.Uint64 // one per bound, plus +Inf at the end
-	count   atomic.Uint64
-	sumNano atomic.Int64
-}
-
-func newHistogram() *histogram {
-	return &histogram{buckets: make([]atomic.Uint64, len(latencyBuckets)+1)}
-}
-
-func (h *histogram) observe(d time.Duration) {
-	sec := d.Seconds()
-	i := sort.SearchFloat64s(latencyBuckets, sec)
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumNano.Add(d.Nanoseconds())
 }
 
 // regretBuckets are the selectd_regret histogram upper bounds. Regret lives
@@ -49,369 +21,121 @@ func (h *histogram) observe(d time.Duration) {
 // shift.
 var regretBuckets = []float64{0, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.15, 0.25, 0.5}
 
-// valueHistogram is histogram's unitless sibling for dimensionless samples
-// (regret ratios): atomic buckets over arbitrary bounds plus an exact
-// CAS-accumulated float64 sum, so mean regret comparisons in tests are not
-// subject to integer truncation.
-type valueHistogram struct {
-	bounds  []float64
-	buckets []atomic.Uint64 // one per bound, plus +Inf at the end
-	count   atomic.Uint64
-	sumBits atomic.Uint64 // float64 bits of the running sum
-}
-
-func newValueHistogram(bounds []float64) *valueHistogram {
-	return &valueHistogram{bounds: bounds, buckets: make([]atomic.Uint64, len(bounds)+1)}
-}
-
-func (h *valueHistogram) observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.buckets[i].Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			break
-		}
-	}
-	// count is incremented last so a reader that sees count == sampled also
-	// sees every bucket/sum update from those observations.
-	h.count.Add(1)
-}
-
-// snapshot copies the histogram for rendering.
-func (h *valueHistogram) snapshot() histSnapshot {
-	s := histSnapshot{buckets: make([]uint64, len(h.buckets)), count: h.count.Load(), sum: math.Float64frombits(h.sumBits.Load())}
-	for i := range h.buckets {
-		s.buckets[i] = h.buckets[i].Load()
-	}
-	return s
-}
-
-// mean reports the average observed value (0 when empty).
-func (h *valueHistogram) mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load()) / float64(n)
-}
-
-type histSnapshot struct {
-	buckets []uint64
-	count   uint64
-	sum     float64
-}
-
-// renderValueHist writes one device-labelled histogram in exposition format.
-func renderValueHist(b *strings.Builder, name, device string, bounds []float64, h histSnapshot) {
-	var cum uint64
-	for i, bound := range bounds {
-		cum += h.buckets[i]
-		fmt.Fprintf(b, "%s_bucket{device=%q,le=\"%g\"} %d\n", name, device, bound, cum)
-	}
-	cum += h.buckets[len(bounds)]
-	fmt.Fprintf(b, "%s_bucket{device=%q,le=\"+Inf\"} %d\n", name, device, cum)
-	fmt.Fprintf(b, "%s_sum{device=%q} %.9f\n", name, device, h.sum)
-	fmt.Fprintf(b, "%s_count{device=%q} %d\n", name, device, h.count)
-}
-
-// endpointMetrics tracks one endpoint's request counts and latencies.
-type endpointMetrics struct {
-	mu      sync.Mutex
-	byCode  map[int]uint64
-	latency *histogram
-}
-
-func newEndpointMetrics() *endpointMetrics {
-	return &endpointMetrics{byCode: make(map[int]uint64), latency: newHistogram()}
-}
-
-func (e *endpointMetrics) observe(code int, d time.Duration) {
-	e.observeCode(code)
-	e.latency.observe(d)
-}
-
-// observeCode counts a response without a latency observation. Shed (429)
-// and degraded responses use it: they do little or no work, so recording
-// their ~0s durations would pull the histogram's quantiles toward zero
-// exactly when the server is saturated and real latencies matter most.
-func (e *endpointMetrics) observeCode(code int) {
-	e.mu.Lock()
-	e.byCode[code]++
-	e.mu.Unlock()
-}
-
-// metrics is the server-wide registry of endpoint series; per-device series
-// live on the backends and are snapshotted into backendStats at render time.
+// metrics is selectd's registry plus the counter and histogram families the
+// request path writes; bind resolves one backend's series from them. Gauges
+// read the backends at scrape time, so they need no handle here.
 type metrics struct {
-	mu        sync.Mutex
-	endpoints map[string]*endpointMetrics
-	started   time.Time
+	reg      *obs.Registry
+	requests *obs.CounterVec
+	latency  *obs.HistogramVec
+
+	cacheHits, cacheMisses, shed, degraded, warmed  *obs.CounterVec
+	decisions, sampled, unsampled, regretDropped    *obs.CounterVec
+	regret, regretDegraded                          *obs.HistogramVec
+	retrainPromoted, retrainRejected, retrainErrors *obs.CounterVec
+	fallbackUpdates, breakerTrips                   *obs.CounterVec
 }
 
-func newMetrics() *metrics {
-	return &metrics{endpoints: make(map[string]*endpointMetrics), started: time.Now()}
+// newMetrics registers every selectd family, in exposition order.
+func newMetrics(s *Server) *metrics {
+	reg := obs.NewRegistry()
+	started := time.Now()
+	gauge := func(name, help string, v func(be *backend) float64) {
+		reg.Gauge(name, help, []string{"device"}, func(emit obs.Emit) {
+			for _, be := range s.backends {
+				emit(v(be), be.name)
+			}
+		})
+	}
+	counter := func(name, help string) *obs.CounterVec { return reg.Counter(name, help, "device") }
+	m := &metrics{reg: reg}
+
+	reg.Gauge("selectd_info", "Serving daemon metadata, one line per device backend.",
+		[]string{"selector", "device"}, func(emit obs.Emit) {
+			for _, be := range s.backends {
+				emit(1, be.gen.Load().lib.SelectorName(), be.name)
+			}
+		})
+	reg.Gauge("selectd_uptime_seconds", "Time since the server started.", nil, func(emit obs.Emit) {
+		emit(time.Since(started).Seconds())
+	})
+	m.requests = reg.Counter("selectd_requests_total", "Requests served, by endpoint and status code.", "endpoint", "code")
+	m.latency = reg.Histogram("selectd_request_seconds", "Full-service request latency histogram, by endpoint.", latencyBuckets, "endpoint")
+	gauge("selectd_generation", "Library generation currently serving, by device.",
+		func(be *backend) float64 { return float64(be.gen.Load().id) })
+	m.cacheHits = counter("selectd_cache_hits_total", "Decision-cache hits, by device.")
+	m.cacheMisses = counter("selectd_cache_misses_total", "Decision-cache misses, by device.")
+	gauge("selectd_cache_entries", "Decisions currently cached, by device.",
+		func(be *backend) float64 { return float64(be.gen.Load().cache.len()) })
+	gauge("selectd_inflight_requests", "Requests currently being served, by device.",
+		func(be *backend) float64 { return float64(be.inflight.Load()) })
+	gauge("selectd_budget_tokens", "Admission tokens currently free, by device.",
+		func(be *backend) float64 { return float64(be.budgetFree()) })
+	gauge("selectd_budget_capacity", "Admission budget size, by device.",
+		func(be *backend) float64 { return float64(be.budgetCap) })
+	m.shed = counter("selectd_shed_total", "Requests rejected 429 at the latency shed threshold, by device.")
+	gauge("selectd_compiled_selector", "Whether the serving generation uses a compiled selector (1) or the interpreted model (0), by device.",
+		func(be *backend) float64 { return flag(be.gen.Load().compiled) })
+	m.degraded = reg.Counter("selectd_degraded_total", "Requests answered with the fallback config, by device and reason.", "device", "reason")
+	gauge("selectd_latency_ewma_seconds", "Full-service latency EWMA, by device.",
+		func(be *backend) float64 { return ewmaValue(&be.latencyEWMA).Seconds() })
+	m.warmed = counter("selectd_warm_shapes_total", "Shapes cached by the speculative warm pass for the serving generation, by device.")
+	gauge("selectd_warm_complete", "Whether the serving generation's warm pass has cached every warm shape (1) or is still cold (0), by device.",
+		func(be *backend) float64 { _, _, done := be.gen.Load().warmSnapshot(); return flag(done) })
+
+	m.decisions = counter("selectd_decisions_total", "Decisions served (full-quality and degraded), by device.")
+	m.sampled = counter("selectd_decisions_sampled_total", "Decisions stamped for background regret measurement, by device.")
+	m.unsampled = counter("selectd_decisions_unsampled_total", "Decisions not selected for regret measurement, by device.")
+	m.regretDropped = counter("selectd_regret_dropped_total", "Regret samples dropped because the measurement queue was full, by device.")
+	m.regret = reg.Histogram("selectd_regret", "Sampled decision regret vs the per-shape optimum of the config universe (1 - achieved/best), by device.", regretBuckets, "device")
+	m.regretDegraded = reg.Histogram("selectd_regret_degraded", "Sampled regret of degraded (fallback-config) decisions, by device.", regretBuckets, "device")
+	gauge("selectd_drift_score", "Population-stability drift of the live shape mix vs the training mix, by device.",
+		func(be *backend) float64 { return be.driftScore() })
+	gauge("selectd_window_size", "Served shapes currently held in the drift window, by device.",
+		func(be *backend) float64 {
+			if be.window == nil {
+				return 0
+			}
+			return float64(be.window.size())
+		})
+	m.retrainPromoted = counter("selectd_retrain_promoted_total", "Shadow-retrained candidates promoted to serving, by device.")
+	m.retrainRejected = counter("selectd_retrain_rejected_total", "Shadow-retrained candidates rejected by a verification gate, by device.")
+	m.retrainErrors = counter("selectd_retrain_errors_total", "Shadow-retrain attempts that failed before gating, by device.")
+	m.fallbackUpdates = counter("selectd_fallback_updates_total", "Online fallback-config changes learned from the served shape window, by device.")
+
+	gauge("selectd_breaker_state", "Circuit-breaker state, by device (0 closed, 1 half-open, 2 open).",
+		func(be *backend) float64 { state, _ := be.breaker.snapshot(); return float64(state) })
+	m.breakerTrips = counter("selectd_breaker_trips_total", "Circuit-breaker open transitions, by device.")
+	return m
 }
 
-func (m *metrics) endpoint(name string) *endpointMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.endpoints[name]
-	if !ok {
-		e = newEndpointMetrics()
-		m.endpoints[name] = e
+// bind resolves a new backend's counters and histograms, so its series are
+// on the page from the start and its hot paths hold plain pointers.
+func (m *metrics) bind(be *backend) {
+	dev := be.name
+	be.cacheHits = m.cacheHits.With(dev)
+	be.cacheMisses = m.cacheMisses.With(dev)
+	be.shed = m.shed.With(dev)
+	for r := range be.degraded {
+		be.degraded[r] = m.degraded.With(dev, reasonNames[r])
 	}
-	return e
+	be.warmedTotal = m.warmed.With(dev)
+	be.decisions = m.decisions.With(dev)
+	be.sampled = m.sampled.With(dev)
+	be.unsampled = m.unsampled.With(dev)
+	be.regretDropped = m.regretDropped.With(dev)
+	be.regretHist = m.regret.With(dev)
+	be.regretDegradedHist = m.regretDegraded.With(dev)
+	be.retrainPromoted = m.retrainPromoted.With(dev)
+	be.retrainRejected = m.retrainRejected.With(dev)
+	be.retrainErrors = m.retrainErrors.With(dev)
+	be.fallbackUpdates = m.fallbackUpdates.With(dev)
+	be.breaker.trips = m.breakerTrips.With(dev)
 }
 
-// backendStats is one device backend's snapshot for rendering: its selector
-// name, library generation, decision-cache counters, admission budget state,
-// shed/degradation counters, latency EWMA and circuit-breaker state.
-type backendStats struct {
-	device       string
-	infoLine     string // pre-rendered selectd_info line, built per generation
-	generation   uint64
-	compiled     bool
-	hits         uint64
-	misses       uint64
-	entries      int
-	inflight     int64
-	budgetFree   int
-	budgetCap    int
-	shed         uint64
-	degraded     [numReasons]uint64
-	ewmaSeconds  float64
-	breakerState breakerState
-	breakerTrips uint64
-	warmTotal    int
-	warmed       uint64
-	warmDone     bool
-
-	// Closed-loop series (regret.go, retrain.go).
-	decisions       uint64
-	sampled         uint64
-	unsampled       uint64
-	regretDropped   uint64
-	regret          histSnapshot
-	regretDegraded  histSnapshot
-	driftScore      float64
-	windowSize      int
-	retrainPromoted uint64
-	retrainRejected uint64
-	retrainErrors   uint64
-	fallbackUpdates uint64
-}
-
-// render writes the registry in Prometheus text format, with one info line
-// and one set of per-device series per backend. The HELP/TYPE headers are
-// constants and the info lines are pre-rendered per generation; only the
-// sample lines are formatted per scrape.
-func (m *metrics) render(b *strings.Builder, backends []backendStats) {
-	b.WriteString("# HELP selectd_info Serving daemon metadata, one line per device backend.\n")
-	b.WriteString("# TYPE selectd_info gauge\n")
-	for _, be := range backends {
-		b.WriteString(be.infoLine)
+func flag(b bool) float64 {
+	if b {
+		return 1
 	}
-
-	b.WriteString("# HELP selectd_uptime_seconds Time since the server started.\n")
-	b.WriteString("# TYPE selectd_uptime_seconds gauge\n")
-	fmt.Fprintf(b, "selectd_uptime_seconds %.3f\n", time.Since(m.started).Seconds())
-
-	b.WriteString("# HELP selectd_requests_total Requests served, by endpoint and status code.\n")
-	b.WriteString("# TYPE selectd_requests_total counter\n")
-	m.mu.Lock()
-	names := make([]string, 0, len(m.endpoints))
-	for name := range m.endpoints {
-		names = append(names, name)
-	}
-	m.mu.Unlock()
-	sort.Strings(names)
-	for _, name := range names {
-		e := m.endpoint(name)
-		e.mu.Lock()
-		codes := make([]int, 0, len(e.byCode))
-		for c := range e.byCode {
-			codes = append(codes, c)
-		}
-		sort.Ints(codes)
-		for _, c := range codes {
-			fmt.Fprintf(b, "selectd_requests_total{endpoint=%q,code=\"%d\"} %d\n", name, c, e.byCode[c])
-		}
-		e.mu.Unlock()
-	}
-
-	b.WriteString("# HELP selectd_request_seconds Full-service request latency histogram, by endpoint.\n")
-	b.WriteString("# TYPE selectd_request_seconds histogram\n")
-	for _, name := range names {
-		e := m.endpoint(name)
-		var cum uint64
-		for i, bound := range latencyBuckets {
-			cum += e.latency.buckets[i].Load()
-			fmt.Fprintf(b, "selectd_request_seconds_bucket{endpoint=%q,le=\"%g\"} %d\n", name, bound, cum)
-		}
-		cum += e.latency.buckets[len(latencyBuckets)].Load()
-		fmt.Fprintf(b, "selectd_request_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", name, cum)
-		fmt.Fprintf(b, "selectd_request_seconds_sum{endpoint=%q} %.9f\n", name, float64(e.latency.sumNano.Load())/1e9)
-		fmt.Fprintf(b, "selectd_request_seconds_count{endpoint=%q} %d\n", name, e.latency.count.Load())
-	}
-
-	b.WriteString("# HELP selectd_generation Library generation currently serving, by device.\n")
-	b.WriteString("# TYPE selectd_generation gauge\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_generation{device=%q} %d\n", be.device, be.generation)
-	}
-
-	b.WriteString("# HELP selectd_cache_hits_total Decision-cache hits, by device.\n")
-	b.WriteString("# TYPE selectd_cache_hits_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_cache_hits_total{device=%q} %d\n", be.device, be.hits)
-	}
-	b.WriteString("# HELP selectd_cache_misses_total Decision-cache misses, by device.\n")
-	b.WriteString("# TYPE selectd_cache_misses_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_cache_misses_total{device=%q} %d\n", be.device, be.misses)
-	}
-	b.WriteString("# HELP selectd_cache_entries Decisions currently cached, by device.\n")
-	b.WriteString("# TYPE selectd_cache_entries gauge\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_cache_entries{device=%q} %d\n", be.device, be.entries)
-	}
-
-	b.WriteString("# HELP selectd_inflight_requests Requests currently being served, by device.\n")
-	b.WriteString("# TYPE selectd_inflight_requests gauge\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_inflight_requests{device=%q} %d\n", be.device, be.inflight)
-	}
-
-	b.WriteString("# HELP selectd_budget_tokens Admission tokens currently free, by device.\n")
-	b.WriteString("# TYPE selectd_budget_tokens gauge\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_budget_tokens{device=%q} %d\n", be.device, be.budgetFree)
-	}
-	b.WriteString("# HELP selectd_budget_capacity Admission budget size, by device.\n")
-	b.WriteString("# TYPE selectd_budget_capacity gauge\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_budget_capacity{device=%q} %d\n", be.device, be.budgetCap)
-	}
-
-	b.WriteString("# HELP selectd_shed_total Requests rejected 429 at the latency shed threshold, by device.\n")
-	b.WriteString("# TYPE selectd_shed_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_shed_total{device=%q} %d\n", be.device, be.shed)
-	}
-
-	b.WriteString("# HELP selectd_compiled_selector Whether the serving generation uses a compiled selector (1) or the interpreted model (0), by device.\n")
-	b.WriteString("# TYPE selectd_compiled_selector gauge\n")
-	for _, be := range backends {
-		v := 0
-		if be.compiled {
-			v = 1
-		}
-		fmt.Fprintf(b, "selectd_compiled_selector{device=%q} %d\n", be.device, v)
-	}
-
-	b.WriteString("# HELP selectd_degraded_total Requests answered with the fallback config, by device and reason.\n")
-	b.WriteString("# TYPE selectd_degraded_total counter\n")
-	for _, be := range backends {
-		for r, n := range be.degraded {
-			fmt.Fprintf(b, "selectd_degraded_total{device=%q,reason=%q} %d\n", be.device, reasonNames[r], n)
-		}
-	}
-
-	b.WriteString("# HELP selectd_latency_ewma_seconds Full-service latency EWMA, by device.\n")
-	b.WriteString("# TYPE selectd_latency_ewma_seconds gauge\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_latency_ewma_seconds{device=%q} %.9f\n", be.device, be.ewmaSeconds)
-	}
-
-	b.WriteString("# HELP selectd_warm_shapes_total Shapes cached by the speculative warm pass for the serving generation, by device.\n")
-	b.WriteString("# TYPE selectd_warm_shapes_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_warm_shapes_total{device=%q} %d\n", be.device, be.warmed)
-	}
-	b.WriteString("# HELP selectd_warm_complete Whether the serving generation's warm pass has cached every warm shape (1) or is still cold (0), by device.\n")
-	b.WriteString("# TYPE selectd_warm_complete gauge\n")
-	for _, be := range backends {
-		v := 0
-		if be.warmDone {
-			v = 1
-		}
-		fmt.Fprintf(b, "selectd_warm_complete{device=%q} %d\n", be.device, v)
-	}
-
-	b.WriteString("# HELP selectd_decisions_total Decisions served (full-quality and degraded), by device.\n")
-	b.WriteString("# TYPE selectd_decisions_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_decisions_total{device=%q} %d\n", be.device, be.decisions)
-	}
-	b.WriteString("# HELP selectd_decisions_sampled_total Decisions stamped for background regret measurement, by device.\n")
-	b.WriteString("# TYPE selectd_decisions_sampled_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_decisions_sampled_total{device=%q} %d\n", be.device, be.sampled)
-	}
-	b.WriteString("# HELP selectd_decisions_unsampled_total Decisions not selected for regret measurement, by device.\n")
-	b.WriteString("# TYPE selectd_decisions_unsampled_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_decisions_unsampled_total{device=%q} %d\n", be.device, be.unsampled)
-	}
-	b.WriteString("# HELP selectd_regret_dropped_total Regret samples dropped because the measurement queue was full, by device.\n")
-	b.WriteString("# TYPE selectd_regret_dropped_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_regret_dropped_total{device=%q} %d\n", be.device, be.regretDropped)
-	}
-
-	b.WriteString("# HELP selectd_regret Sampled decision regret vs the per-shape optimum of the config universe (1 - achieved/best), by device.\n")
-	b.WriteString("# TYPE selectd_regret histogram\n")
-	for _, be := range backends {
-		renderValueHist(b, "selectd_regret", be.device, regretBuckets, be.regret)
-	}
-	b.WriteString("# HELP selectd_regret_degraded Sampled regret of degraded (fallback-config) decisions, by device.\n")
-	b.WriteString("# TYPE selectd_regret_degraded histogram\n")
-	for _, be := range backends {
-		renderValueHist(b, "selectd_regret_degraded", be.device, regretBuckets, be.regretDegraded)
-	}
-
-	b.WriteString("# HELP selectd_drift_score Population-stability drift of the live shape mix vs the training mix, by device.\n")
-	b.WriteString("# TYPE selectd_drift_score gauge\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_drift_score{device=%q} %.9f\n", be.device, be.driftScore)
-	}
-	b.WriteString("# HELP selectd_window_size Served shapes currently held in the drift window, by device.\n")
-	b.WriteString("# TYPE selectd_window_size gauge\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_window_size{device=%q} %d\n", be.device, be.windowSize)
-	}
-
-	b.WriteString("# HELP selectd_retrain_promoted_total Shadow-retrained candidates promoted to serving, by device.\n")
-	b.WriteString("# TYPE selectd_retrain_promoted_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_retrain_promoted_total{device=%q} %d\n", be.device, be.retrainPromoted)
-	}
-	b.WriteString("# HELP selectd_retrain_rejected_total Shadow-retrained candidates rejected by a verification gate, by device.\n")
-	b.WriteString("# TYPE selectd_retrain_rejected_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_retrain_rejected_total{device=%q} %d\n", be.device, be.retrainRejected)
-	}
-	b.WriteString("# HELP selectd_retrain_errors_total Shadow-retrain attempts that failed before gating, by device.\n")
-	b.WriteString("# TYPE selectd_retrain_errors_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_retrain_errors_total{device=%q} %d\n", be.device, be.retrainErrors)
-	}
-	b.WriteString("# HELP selectd_fallback_updates_total Online fallback-config changes learned from the served shape window, by device.\n")
-	b.WriteString("# TYPE selectd_fallback_updates_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_fallback_updates_total{device=%q} %d\n", be.device, be.fallbackUpdates)
-	}
-
-	b.WriteString("# HELP selectd_breaker_state Circuit-breaker state, by device (0 closed, 1 half-open, 2 open).\n")
-	b.WriteString("# TYPE selectd_breaker_state gauge\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_breaker_state{device=%q} %d\n", be.device, int(be.breakerState))
-	}
-	b.WriteString("# HELP selectd_breaker_trips_total Circuit-breaker open transitions, by device.\n")
-	b.WriteString("# TYPE selectd_breaker_trips_total counter\n")
-	for _, be := range backends {
-		fmt.Fprintf(b, "selectd_breaker_trips_total{device=%q} %d\n", be.device, be.breakerTrips)
-	}
+	return 0
 }

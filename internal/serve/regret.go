@@ -37,6 +37,11 @@ type regretSample struct {
 	degraded bool
 }
 
+// regretQueueSize bounds the background measurement queue: enough to ride
+// out a burst while the worker prices, with a full queue dropping samples
+// (counted in selectd_regret_dropped_total) instead of blocking requests.
+const regretQueueSize = 1024
+
 // account records one served decision into the closed-loop state: the
 // per-backend decision counters, the served-shape window, and — for every
 // regretEvery-th decision — the regret measurement queue. It runs on the
@@ -111,7 +116,7 @@ func (s *Server) measureRegret(smp regretSample) float64 {
 	if smp.degraded {
 		h = smp.be.regretDegradedHist
 	}
-	h.observe(regret)
+	h.Observe(regret)
 	return regret
 }
 
@@ -119,7 +124,7 @@ func (s *Server) measureRegret(smp regretSample) float64 {
 // measured or dropped — i.e. the background queue is drained. Tests poll it
 // after traffic quiesces instead of sleeping.
 func (be *backend) regretSettled() bool {
-	measured := be.regretHist.count.Load() + be.regretDegradedHist.count.Load()
+	measured := be.regretHist.Count() + be.regretDegradedHist.Count()
 	return be.sampled.Load() == measured+be.regretDropped.Load()
 }
 

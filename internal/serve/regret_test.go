@@ -21,7 +21,7 @@ func waitSettled(t testing.TB, be *backend) {
 		if time.Now().After(deadline) {
 			t.Fatalf("regret queue never drained: sampled %d, measured %d, dropped %d",
 				be.sampled.Load(),
-				be.regretHist.count.Load()+be.regretDegradedHist.count.Load(),
+				be.regretHist.Count()+be.regretDegradedHist.Count(),
 				be.regretDropped.Load())
 		}
 		time.Sleep(time.Millisecond)
@@ -59,7 +59,7 @@ func TestRegretAccountingInvariants(t *testing.T) {
 		t.Fatalf("sampled %d of %d decisions at rate 0.25, want exactly %d", s, n, n/4)
 	}
 	waitSettled(t, be)
-	if measured := be.regretHist.count.Load() + be.regretDegradedHist.count.Load(); measured+be.regretDropped.Load() != s {
+	if measured := be.regretHist.Count() + be.regretDegradedHist.Count(); measured+be.regretDropped.Load() != s {
 		t.Fatalf("measured %d + dropped %d != sampled %d", measured, be.regretDropped.Load(), s)
 	}
 	if got := be.window.size(); got != n {

@@ -103,10 +103,6 @@ type Options struct {
 	// loop is on).
 	RegretUniverse []gemm.Config
 
-	// RegretQueue bounds the background measurement queue; default 1024.
-	// A full queue drops samples (counted) instead of blocking requests.
-	RegretQueue int
-
 	// WindowSize bounds the served-shape sliding window the closed loop
 	// reasons over; default 4096, negative disables the window (and with it
 	// drift scoring, online fallback learning, and retraining).
@@ -174,9 +170,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RegretSample > 1 {
 		o.RegretSample = 1
-	}
-	if o.RegretQueue <= 0 {
-		o.RegretQueue = 1024
 	}
 	if o.WindowSize == 0 {
 		o.WindowSize = 4096
@@ -263,18 +256,18 @@ func NewMulti(backends []Backend, opts Options) (*Server, error) {
 	s := &Server{
 		byName:         make(map[string]*backend, len(backends)),
 		opts:           opts,
-		metrics:        newMetrics(),
 		fallbackShapes: opts.FallbackShapes,
 		draining:       func() bool { return false },
 		regretUniverse: opts.RegretUniverse,
 		stop:           make(chan struct{}),
 	}
+	s.metrics = newMetrics(s)
 	if opts.RegretSample > 0 {
 		s.regretEvery = uint64(math.Round(1 / opts.RegretSample))
 		if s.regretEvery < 1 {
 			s.regretEvery = 1
 		}
-		s.regretQ = make(chan regretSample, opts.RegretQueue)
+		s.regretQ = make(chan regretSample, regretQueueSize)
 	}
 	defaultBudget := opts.MaxInFlight / len(backends)
 	if defaultBudget < 1 {
@@ -308,15 +301,14 @@ func NewMulti(backends []Backend, opts Options) (*Server, error) {
 			budget = o
 		}
 		be := &backend{
-			name:               b.Device,
-			custom:             b.Pricer,
-			budget:             make(chan struct{}, budget),
-			budgetCap:          budget,
-			breaker:            breaker{threshold: opts.BreakerThreshold, cooldown: opts.BreakerCooldown},
-			window:             newShapeWindow(opts.WindowSize),
-			regretHist:         newValueHistogram(regretBuckets),
-			regretDegradedHist: newValueHistogram(regretBuckets),
+			name:      b.Device,
+			custom:    b.Pricer,
+			budget:    make(chan struct{}, budget),
+			budgetCap: budget,
+			breaker:   breaker{threshold: opts.BreakerThreshold, cooldown: opts.BreakerCooldown},
+			window:    newShapeWindow(opts.WindowSize),
 		}
+		s.metrics.bind(be)
 		mix := mixOf(opts.TrainShapes)
 		be.driftRef.Store(&mix)
 		gen := s.newGeneration(b.Device, b.Lib, b.Model, b.Pricer)
@@ -680,7 +672,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/devices", s.instrument("devices", s.handleDevices))
 	mux.HandleFunc("GET /v1/window", s.instrument("window", s.handleWindow))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.Handle("GET /metrics", s.metrics.reg)
 	return mux
 }
 
@@ -712,22 +704,22 @@ func markNoLatency(w http.ResponseWriter) {
 }
 
 // instrument wraps a handler with counter/latency accounting. The endpoint's
-// metrics are resolved once at mux construction — not per request through the
-// registry mutex — and the per-request deadline lives in the decide ladder,
-// created only once a shape misses the cache (a hit never needs a context,
-// and building one costs two allocations). Admission is per-backend and
-// happens inside the ladder once the device is resolved.
+// series are resolved once at mux construction, so a request pays atomic
+// adds only; the per-request deadline lives in the decide ladder, created
+// only once a shape misses the cache (a hit never needs a context, and
+// building one costs two allocations). Admission is per-backend and happens
+// inside the ladder once the device is resolved.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	e := s.metrics.endpoint(endpoint)
+	codes := s.metrics.requests.Codes(endpoint)
+	latency := s.metrics.latency.With(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := swPool.Get().(*statusWriter)
 		sw.ResponseWriter, sw.code, sw.skipLatency = w, http.StatusOK, false
 		h(sw, r)
-		if sw.skipLatency {
-			e.observeCode(sw.code)
-		} else {
-			e.observe(sw.code, time.Since(start))
+		codes.For(sw.code).Add(1)
+		if !sw.skipLatency {
+			latency.Observe(time.Since(start).Seconds())
 		}
 		sw.ResponseWriter = nil
 		swPool.Put(sw)
@@ -1024,56 +1016,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Retry-After", retryAfterSeconds)
 	}
 	writeJSON(w, code, resp)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	stats := make([]backendStats, len(s.backends))
-	for i, be := range s.backends {
-		gen := be.gen.Load()
-		state, trips := be.breaker.snapshot()
-		warmTotal, _, warmDone := gen.warmSnapshot()
-		st := backendStats{
-			device:          be.name,
-			infoLine:        gen.infoLine,
-			generation:      gen.id,
-			compiled:        gen.compiled,
-			hits:            be.cacheHits.Load(),
-			misses:          be.cacheMisses.Load(),
-			entries:         gen.cache.len(),
-			inflight:        be.inflight.Load(),
-			budgetFree:      be.budgetFree(),
-			budgetCap:       be.budgetCap,
-			shed:            be.shed.Load(),
-			ewmaSeconds:     ewmaValue(&be.latencyEWMA).Seconds(),
-			breakerState:    state,
-			breakerTrips:    trips,
-			warmTotal:       warmTotal,
-			warmed:          be.warmedTotal.Load(),
-			warmDone:        warmDone,
-			decisions:       be.decisions.Load(),
-			sampled:         be.sampled.Load(),
-			unsampled:       be.unsampled.Load(),
-			regretDropped:   be.regretDropped.Load(),
-			regret:          be.regretHist.snapshot(),
-			regretDegraded:  be.regretDegradedHist.snapshot(),
-			driftScore:      be.driftScore(),
-			retrainPromoted: be.retrainPromoted.Load(),
-			retrainRejected: be.retrainRejected.Load(),
-			retrainErrors:   be.retrainErrors.Load(),
-			fallbackUpdates: be.fallbackUpdates.Load(),
-		}
-		if be.window != nil {
-			st.windowSize = be.window.size()
-		}
-		for r := range st.degraded {
-			st.degraded[r] = be.degraded[r].Load()
-		}
-		stats[i] = st
-	}
-	var b strings.Builder
-	s.metrics.render(&b, stats)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprint(w, b.String())
 }
 
 // decodeBody parses a JSON request body, rejecting unknown fields and

@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,6 +16,7 @@ import (
 	"kernelselect/internal/dataset"
 	"kernelselect/internal/device"
 	"kernelselect/internal/gemm"
+	"kernelselect/internal/obs"
 	"kernelselect/internal/sim"
 	"kernelselect/internal/workload"
 )
@@ -188,22 +187,26 @@ func TestHealthzAndDraining(t *testing.T) {
 	}
 }
 
-// metricValue extracts the first sample matching the (possibly labelled)
-// metric name prefix from a Prometheus text page.
-func metricValue(t testing.TB, page, prefix string) float64 {
+// parseMetrics parses a /metrics page with the registry's own parser, which
+// also holds it to the text format's grouping rules.
+func parseMetrics(t testing.TB, page string) *obs.Page {
 	t.Helper()
-	for _, line := range strings.Split(page, "\n") {
-		if strings.HasPrefix(line, prefix) {
-			fields := strings.Fields(line)
-			v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-			if err != nil {
-				t.Fatalf("parsing metric line %q: %v", line, err)
-			}
-			return v
-		}
+	p, err := obs.ParseText(strings.NewReader(page))
+	if err != nil {
+		t.Fatalf("parsing /metrics: %v\n%s", err, page)
 	}
-	t.Fatalf("metric %q not found in:\n%s", prefix, page)
-	return 0
+	return p
+}
+
+// metricValue returns one series' value, keyed `name{labels}` exactly as the
+// page renders it, failing the test when the series is absent.
+func metricValue(t testing.TB, page, series string) float64 {
+	t.Helper()
+	v, ok := parseMetrics(t, page).Series[series]
+	if !ok {
+		t.Fatalf("series %q not found in:\n%s", series, page)
+	}
+	return v
 }
 
 func metricsPage(t testing.TB, ts *httptest.Server) string {
@@ -220,26 +223,11 @@ func metricsPage(t testing.TB, ts *httptest.Server) string {
 	return string(raw)
 }
 
-// metricsSnapshot parses the full /metrics page into series → value, keyed by
-// the complete `name{labels}` form, so tests can diff two scrapes.
+// metricsSnapshot scrapes every series into key → value, so tests can diff
+// two scrapes.
 func metricsSnapshot(t testing.TB, ts *httptest.Server) map[string]float64 {
 	t.Helper()
-	snap := make(map[string]float64)
-	for _, line := range strings.Split(metricsPage(t, ts), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			t.Fatalf("parsing metric line %q: %v", line, err)
-		}
-		snap[line[:i]] = v
-	}
-	return snap
+	return parseMetrics(t, metricsPage(t, ts)).Series
 }
 
 // assertCountersMonotonic enforces the Prometheus counter contract between
@@ -284,10 +272,10 @@ func TestRepeatedShapeHitsCache(t *testing.T) {
 	}
 
 	page := metricsPage(t, ts)
-	if hits := metricValue(t, page, "selectd_cache_hits_total"); hits < 1 {
+	if hits := metricValue(t, page, `selectd_cache_hits_total{device="amd-r9-nano"}`); hits < 1 {
 		t.Errorf("cache hits %v, want >= 1", hits)
 	}
-	if entries := metricValue(t, page, "selectd_cache_entries"); entries < 1 {
+	if entries := metricValue(t, page, `selectd_cache_entries{device="amd-r9-nano"}`); entries < 1 {
 		t.Errorf("cache entries %v, want >= 1", entries)
 	}
 }
@@ -317,14 +305,15 @@ func TestMetricsPage(t *testing.T) {
 		t.Errorf("+Inf bucket %v, want 1", got)
 	}
 	// Histogram buckets must be cumulative (non-decreasing).
-	re := regexp.MustCompile(`selectd_request_seconds_bucket\{endpoint="select",le="[^"]+"\} (\d+)`)
 	last := -1.0
-	for _, m := range re.FindAllStringSubmatch(page, -1) {
-		v, _ := strconv.ParseFloat(m[1], 64)
-		if v < last {
+	for _, smp := range parseMetrics(t, page).Families["selectd_request_seconds"].Samples {
+		if smp.Name != "selectd_request_seconds_bucket" || smp.Label("endpoint") != "select" {
+			continue
+		}
+		if smp.Value < last {
 			t.Fatalf("histogram buckets not cumulative:\n%s", page)
 		}
-		last = v
+		last = smp.Value
 	}
 	if !strings.Contains(page, `selectd_info{selector="DecisionTree",device="amd-r9-nano"}`) {
 		t.Error("selector/device labels missing from selectd_info")

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"context"
-	"io"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -68,22 +66,13 @@ func TestWarmFillsCache(t *testing.T) {
 		t.Fatalf("healthz warm state %+v, want complete %d/%d", b, len(reloadShapes), len(reloadShapes))
 	}
 
-	mresp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
-	for _, want := range []string{
-		`selectd_warm_complete{device="` + model.Dev.Name + `"} 1`,
-		`selectd_warm_shapes_total{device="` + model.Dev.Name + `"} 12`,
+	m := metricsSnapshot(t, ts)
+	for series, want := range map[string]float64{
+		`selectd_warm_complete{device="` + model.Dev.Name + `"}`:     1,
+		`selectd_warm_shapes_total{device="` + model.Dev.Name + `"}`: 12,
 	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("metrics missing %q", want)
+		if got, ok := m[series]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", series, got, ok, want)
 		}
 	}
 }
