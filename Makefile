@@ -201,14 +201,16 @@ chaos-cluster:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -run '^TestChaosCluster$$' ./internal/cluster
 
 # Fuzz the artifact decoders (persisted libraries and selectors), the select
-# request scanner and the router's decision-body scanner against
-# encoding/json, and the router's Retry-After parser. Go allows one -fuzz
-# pattern per invocation, so each target gets its own run.
+# request scanner, the response append encoders and the router's upstream
+# request encoders against encoding/json, and the router's Retry-After
+# parser. Go allows one -fuzz pattern per invocation, so each target gets its
+# own run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadLibrary$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSelector$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSelectBody$$' -fuzztime $(FUZZTIME) ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzScanDecisionMeta$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendDecision$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendWireBodies$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime $(FUZZTIME) ./internal/cluster
 
 fuzz-smoke:

@@ -48,16 +48,11 @@ func main() {
 	cfg := experiments.Default()
 	cfg.Seed = *seed
 	cfg.Workers = *workers
-	switch *devName {
-	case "r9nano":
-		cfg.Device = device.R9Nano()
-	case "gen9":
-		cfg.Device = device.IntegratedGen9()
-	case "mali":
-		cfg.Device = device.EmbeddedMaliG72()
-	default:
-		log.Fatalf("unknown device %q", *devName)
+	dev, err := device.Lookup(*devName)
+	if err != nil {
+		log.Fatal(err)
 	}
+	cfg.Device = dev
 
 	if *benchJSON != "" {
 		if err := writeBenchJSON(cfg, *benchJSON); err != nil {

@@ -41,16 +41,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var dev device.Spec
-	switch *devName {
-	case "r9nano":
-		dev = device.R9Nano()
-	case "gen9":
-		dev = device.IntegratedGen9()
-	case "mali":
-		dev = device.EmbeddedMaliG72()
-	default:
-		log.Fatalf("unknown device %q", *devName)
+	dev, err := device.Lookup(*devName)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Printf("%s on %v, %s (peak %.0f GFLOP/s, %.0f GB/s)\n\n",

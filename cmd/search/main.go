@@ -49,16 +49,9 @@ func main() {
 		log.Fatalf("unknown space %q", *spaceName)
 	}
 
-	var dev device.Spec
-	switch *devName {
-	case "r9nano":
-		dev = device.R9Nano()
-	case "gen9":
-		dev = device.IntegratedGen9()
-	case "mali":
-		dev = device.EmbeddedMaliG72()
-	default:
-		log.Fatalf("unknown device %q", *devName)
+	dev, err := device.Lookup(*devName)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	model := sim.New(dev)

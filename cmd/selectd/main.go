@@ -166,7 +166,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	trainer, err := trainerFor(*selName)
+	trainer, err := core.SelectorTrainerByFlag(*selName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -401,24 +401,6 @@ func cacheCapacity(flagVal int) int {
 	return flagVal
 }
 
-// deviceFor resolves short aliases first, then full device names — which
-// covers the synthetic held-out specs (synthetic-fiji-32cu, ...) a unified
-// artifact can serve without ever having trained on them.
-func deviceFor(name string) (device.Spec, error) {
-	switch name {
-	case "r9nano":
-		return device.R9Nano(), nil
-	case "gen9":
-		return device.IntegratedGen9(), nil
-	case "mali":
-		return device.EmbeddedMaliG72(), nil
-	}
-	if spec, err := device.ByName(name); err == nil {
-		return spec, nil
-	}
-	return device.Spec{}, fmt.Errorf("unknown device %q", name)
-}
-
 // parseBudgets parses the -budgets flag ("r9nano=64,gen9=16", short device
 // names) into serve.Options.Budgets keyed by full device name.
 func parseBudgets(s string) (map[string]int, error) {
@@ -435,7 +417,7 @@ func parseBudgets(s string) (map[string]int, error) {
 		if !ok {
 			return nil, fmt.Errorf("budget %q: want device=tokens", part)
 		}
-		spec, err := deviceFor(strings.TrimSpace(name))
+		spec, err := device.Lookup(strings.TrimSpace(name))
 		if err != nil {
 			return nil, fmt.Errorf("budget %q: %w", part, err)
 		}
@@ -467,7 +449,7 @@ func devicesFor(names string) ([]device.Spec, error) {
 			return nil, fmt.Errorf("device %q listed twice", name)
 		}
 		seen[name] = true
-		spec, err := deviceFor(name)
+		spec, err := device.Lookup(name)
 		if err != nil {
 			return nil, err
 		}
@@ -521,25 +503,6 @@ func trainLibrary(model *sim.Model, pruner core.Pruner, trainer core.SelectorTra
 	shapes, _ := workload.DatasetShapes()
 	ds := dataset.Build(model, shapes, gemm.AllConfigs())
 	return core.BuildLibrary(ds, pruner, trainer, n, seed), nil
-}
-
-func trainerFor(name string) (core.SelectorTrainer, error) {
-	switch name {
-	case "tree":
-		return core.DecisionTreeSelector{}, nil
-	case "forest":
-		return core.RandomForestSelector{}, nil
-	case "1nn":
-		return core.KNNSelector{K: 1}, nil
-	case "3nn":
-		return core.KNNSelector{K: 3}, nil
-	case "linear-svm":
-		return core.LinearSVMSelector{}, nil
-	case "radial-svm":
-		return core.RadialSVMSelector{}, nil
-	default:
-		return nil, fmt.Errorf("unknown selector %q", name)
-	}
 }
 
 func prunerFor(name string) (core.Pruner, error) {

@@ -14,11 +14,11 @@ import (
 
 func TestTrainerAndPrunerLookup(t *testing.T) {
 	for _, name := range []string{"tree", "forest", "1nn", "3nn", "linear-svm", "radial-svm"} {
-		if _, err := trainerFor(name); err != nil {
-			t.Errorf("trainerFor(%q): %v", name, err)
+		if _, err := core.SelectorTrainerByFlag(name); err != nil {
+			t.Errorf("SelectorTrainerByFlag(%q): %v", name, err)
 		}
 	}
-	if _, err := trainerFor("martian"); err == nil {
+	if _, err := core.SelectorTrainerByFlag("martian"); err == nil {
 		t.Error("unknown trainer accepted")
 	}
 	for _, name := range []string{"top-n", "k-means", "hdbscan", "pca+k-means", "decision-tree", "greedy-cover"} {
@@ -34,11 +34,11 @@ func TestTrainerAndPrunerLookup(t *testing.T) {
 		names = append(names, s.Name) // held-out specs are servable by name
 	}
 	for _, name := range names {
-		if _, err := deviceFor(name); err != nil {
-			t.Errorf("deviceFor(%q): %v", name, err)
+		if _, err := device.Lookup(name); err != nil {
+			t.Errorf("device.Lookup(%q): %v", name, err)
 		}
 	}
-	if _, err := deviceFor("martian"); err == nil {
+	if _, err := device.Lookup("martian"); err == nil {
 		t.Error("unknown device accepted")
 	}
 }

@@ -5,7 +5,9 @@
 // ring's successor order with bounded backoff, launches one cross-shard
 // hedged attempt when the primary is slow (-hedge-delay), and — when every
 // candidate is down — answers degraded from a router-local engine trained
-// in-process, so a priceable shape never sees a 5xx.
+// in-process, so a priceable shape never sees a 5xx. A select, a coalesced
+// flush and each shard group of a batch all ride that one ladder; a replica
+// answer below 500 is final and passes through with its Retry-After.
 //
 // In front of the routing ladder sits the fast path: a generation-aware edge
 // cache (-edge-cache) answers repeat (device, shape) requests from
@@ -233,11 +235,11 @@ func splitList(s string) []string {
 // localEngine trains the router-local fallback backend in-process, exactly
 // like an in-process selectd would for the same device.
 func localEngine(devName, selName string, n int, seed uint64) (*serve.Server, error) {
-	spec, err := deviceFor(devName)
+	spec, err := device.Lookup(devName)
 	if err != nil {
 		return nil, err
 	}
-	trainer, err := trainerFor(selName)
+	trainer, err := core.SelectorTrainerByFlag(selName)
 	if err != nil {
 		return nil, err
 	}
@@ -246,38 +248,4 @@ func localEngine(devName, selName string, n int, seed uint64) (*serve.Server, er
 	ds := dataset.Build(model, shapes, gemm.AllConfigs())
 	lib := core.BuildLibrary(ds, core.DecisionTree{}, trainer, n, seed)
 	return serve.New(lib, model, serve.Options{FallbackShapes: shapes}), nil
-}
-
-func deviceFor(name string) (device.Spec, error) {
-	switch name {
-	case "r9nano":
-		return device.R9Nano(), nil
-	case "gen9":
-		return device.IntegratedGen9(), nil
-	case "mali":
-		return device.EmbeddedMaliG72(), nil
-	}
-	if spec, err := device.ByName(name); err == nil {
-		return spec, nil
-	}
-	return device.Spec{}, fmt.Errorf("unknown device %q", name)
-}
-
-func trainerFor(name string) (core.SelectorTrainer, error) {
-	switch name {
-	case "tree":
-		return core.DecisionTreeSelector{}, nil
-	case "forest":
-		return core.RandomForestSelector{}, nil
-	case "1nn":
-		return core.KNNSelector{K: 1}, nil
-	case "3nn":
-		return core.KNNSelector{K: 3}, nil
-	case "linear-svm":
-		return core.LinearSVMSelector{}, nil
-	case "radial-svm":
-		return core.RadialSVMSelector{}, nil
-	default:
-		return nil, fmt.Errorf("unknown selector %q", name)
-	}
 }

@@ -10,7 +10,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"sort"
@@ -30,9 +29,9 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size for pricing (0 = GOMAXPROCS)")
 	flag.Parse()
 
-	dev, err := deviceByName(*devName)
+	dev, err := device.Lookup(*devName)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("unknown device %q (want r9nano, gen9 or mali)", *devName)
 	}
 
 	shapes, per := workload.DatasetShapes()
@@ -67,16 +66,4 @@ func main() {
 	if *out != "" {
 		log.Printf("wrote %s", *out)
 	}
-}
-
-func deviceByName(name string) (device.Spec, error) {
-	switch name {
-	case "r9nano":
-		return device.R9Nano(), nil
-	case "gen9":
-		return device.IntegratedGen9(), nil
-	case "mali":
-		return device.EmbeddedMaliG72(), nil
-	}
-	return device.Spec{}, fmt.Errorf("unknown device %q (want r9nano, gen9 or mali)", name)
 }

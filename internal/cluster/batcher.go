@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -32,10 +31,10 @@ const (
 )
 
 // shapeCall is one coalesced decision slot: every waiter for the same shape
-// in the same pending group blocks on done and shares the rendered body.
+// in the same pending group blocks on done and shares the answer.
 type shapeCall struct {
 	done chan struct{}
-	body []byte // newline-terminated decision body; immutable once done closes
+	ans  answer // a 200 carries a newline-terminated decision body; immutable once done closes
 	ok   bool
 }
 
@@ -60,7 +59,7 @@ type repBatcher struct {
 // routeCoalesced answers one miss through the adaptive batcher. ok=false
 // means no upstream candidate answered (or the client context expired) and
 // the caller should fall back locally.
-func (r *Router) routeCoalesced(ctx context.Context, device string, shape gemm.Shape, alive []int) (int, []byte, bool) {
+func (r *Router) routeCoalesced(ctx context.Context, device string, shape gemm.Shape, alive []int) (answer, bool) {
 	b := &r.batchers[alive[0]]
 	b.mu.Lock()
 	g := b.pending[device]
@@ -68,18 +67,12 @@ func (r *Router) routeCoalesced(ctx context.Context, device string, shape gemm.S
 		// Low concurrency: dispatch solo through the full retry/hedge ladder.
 		b.inflight.Add(1)
 		b.mu.Unlock()
-		res, ok := r.tryReplicas(ctx, alive, device, shape)
+		a, ok := r.solo(ctx, alive, device, shape)
 		b.inflight.Add(-1)
-		if !ok {
-			return 0, nil, false
+		if ok {
+			r.metrics.batchSizes.Observe(1)
 		}
-		r.metrics.wins[res.idx].Add(1)
-		if res.hedge {
-			r.metrics.hedgeWins.Add(1)
-		}
-		r.metrics.batchSizes.Observe(1)
-		r.cacheFillBody(device, shape, res.idx, res.status, res.body)
-		return res.status, res.body, true
+		return a, ok
 	}
 	if g == nil {
 		g = &batchGroup{device: device, calls: make(map[gemm.Shape]*shapeCall, 8)}
@@ -105,13 +98,10 @@ func (r *Router) routeCoalesced(ctx context.Context, device string, shape gemm.S
 	select {
 	case <-ctx.Done():
 		// The flush keeps running for the other waiters; this client is gone.
-		return 0, nil, false
+		return answer{}, false
 	case <-call.done:
 	}
-	if !call.ok {
-		return 0, nil, false
-	}
-	return http.StatusOK, call.body, true
+	return call.ans, call.ok
 }
 
 // flushWindow fires when a group's window expires; a group already flushed on
@@ -127,10 +117,12 @@ func (r *Router) flushWindow(b *repBatcher, device string, g *batchGroup) {
 	r.flushBatch(b, g)
 }
 
-// flushBatch prices one group with a single upstream batch call, walking the
-// group's candidate order on failure exactly like a single request would, and
-// distributes per-shape rendered bodies to every waiter. Total failure closes
-// the calls unfilled; each waiter falls back locally on its own context.
+// flushBatch prices one group as a single replica batch call through the
+// upstream ladder, over the candidate order of the group's first shape, and
+// hands every waiter its answer: its own rendered decision on a 200, the
+// replica's answer verbatim on a refusal. When the ladder finds no answer
+// the calls close unfilled and each waiter falls back locally on its own
+// context.
 func (r *Router) flushBatch(b *repBatcher, g *batchGroup) {
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
@@ -139,50 +131,19 @@ func (r *Router) flushBatch(b *repBatcher, g *batchGroup) {
 	ctx, cancel := context.WithTimeout(context.Background(), flushTimeout)
 	defer cancel()
 	alive := r.routable(r.ring.candidates(g.device, g.shapes[0]))
-	tried := 0
-	for _, idx := range alive {
-		if tried > r.opts.Retries {
-			break
+	res, ok := r.tryReplicas(ctx, alive, batchCall(g.device, g.shapes))
+	for i, shape := range g.shapes {
+		call := g.calls[shape]
+		call.ok = ok
+		switch {
+		case !ok:
+		case res.status != http.StatusOK:
+			call.ans = res.answer()
+		default:
+			body := append(serve.AppendDecisionJSON(make([]byte, 0, 256), &res.decs[i]), '\n')
+			call.ans = answer{status: http.StatusOK, body: body}
+			r.fill(g.device, shape, res.idx, body)
 		}
-		tried++
-		decs, err := r.replicas[idx].Batch(ctx, g.device, g.shapes)
-		if err != nil {
-			r.noteBatchError(ctx, idx, err)
-			continue
-		}
-		for i, shape := range g.shapes {
-			call := g.calls[shape]
-			d := decs[i]
-			body := serve.AppendDecisionJSON(make([]byte, 0, 256), &d)
-			body = append(body, '\n')
-			call.body, call.ok = body, true
-			if !d.Degraded {
-				r.cacheFillDecision(g.device, shape, idx, d.Generation, body)
-			}
-			close(call.done)
-		}
-		r.metrics.wins[idx].Add(1)
-		return
-	}
-	for _, call := range g.calls {
 		close(call.done)
-	}
-}
-
-// noteBatchError classifies one failed upstream batch call: a non-200 status
-// means the replica is alive but unwilling (saturation, draining) and earns
-// backoff, while a transport error with a live context marks it down so its
-// shards re-hash.
-func (r *Router) noteBatchError(ctx context.Context, idx int, err error) {
-	r.metrics.repErrors.Add(1)
-	var se *statusError
-	if errors.As(err, &se) {
-		if se.status == http.StatusTooManyRequests || se.status >= 500 {
-			r.setBackoff(idx, r.opts.RetryBackoff)
-		}
-		return
-	}
-	if ctx.Err() == nil {
-		r.health.observe(r.replicas[idx].Name, StateDown, nil, err.Error())
 	}
 }

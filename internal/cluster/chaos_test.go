@@ -330,9 +330,9 @@ func chaosClusterRun(t *testing.T, seed uint64) {
 	cacheEntries := 0
 	router.edge.forEach(func(dev string, e edgeEntry) {
 		cacheEntries++
-		gen, degraded, ok := serve.ScanDecisionMeta(e.body)
-		if !ok || degraded || gen != e.gen {
-			t.Errorf("edge entry %s/%v: body scan (gen=%d degraded=%v ok=%v) disagrees with stamp gen %d", dev, e.shape, gen, degraded, ok, e.gen)
+		var d serve.Decision
+		if err := json.Unmarshal(e.body, &d); err != nil || d.Degraded || d.Generation != e.gen {
+			t.Errorf("edge entry %s/%v: body (gen=%d degraded=%v err=%v) disagrees with stamp gen %d", dev, e.shape, d.Generation, d.Degraded, err, e.gen)
 		}
 		if e.gen != finalGens[e.rep] {
 			t.Errorf("edge entry %s/%v owned by replica %d carries gen %d, owner is at gen %d", dev, e.shape, e.rep, e.gen, finalGens[e.rep])

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"kernelselect/internal/gemm"
 	"kernelselect/internal/serve"
 	"kernelselect/internal/sim"
+	"kernelselect/internal/xrand"
 )
 
 // routerReload posts one replica reload through the router and returns its
@@ -184,4 +186,75 @@ func TestEdgeDegradedNeverCached(t *testing.T) {
 			t.Errorf("replica won %d requests, want 2 (no request may be served from cache)", wins)
 		}
 	})
+}
+
+// The edge cache's coherence rule under seeded interleavings of put,
+// noteGens and get over 2 device channels x 3 replicas, checked against a
+// model of the registers: every hit carries exactly its owner's current
+// register (never an older generation), registers never go down, a put older
+// than its register is dropped, and a put at or past it is served next.
+func TestEdgeCacheCoherenceProperties(t *testing.T) {
+	const replicas = 3
+	devices := []string{"r9nano", "gen9"}
+	names := []string{replicaName(0), replicaName(1), replicaName(2)}
+	for seed := uint64(1); seed <= 200; seed++ {
+		rng := xrand.New(seed)
+		c := newEdgeCache(1024, replicas, newRouterMetrics(names, newHealthTable(names)))
+		model := map[string][]uint64{} // channel -> register per replica; a channel exists once put
+		shapes := fleetShapes[:6]
+		for op := 0; op < 300; op++ {
+			dev := devices[rng.Intn(len(devices))]
+			rep := rng.Intn(replicas)
+			gen := uint64(1 + rng.Intn(6))
+			shape := shapes[rng.Intn(len(shapes))]
+			switch rng.Intn(3) {
+			case 0:
+				body := []byte(fmt.Sprintf("%d/%d\n", rep, gen))
+				regs := model[dev]
+				if regs == nil {
+					regs = make([]uint64, replicas)
+					model[dev] = regs
+				}
+				stale := gen < regs[rep]
+				c.put(dev, shape, rep, gen, body)
+				if stale {
+					// Inspect the store itself: get would hide a stale entry
+					// by evicting it on sight.
+					c.forEach(func(d string, e edgeEntry) {
+						if d == dev && e.shape == shape && bytes.Equal(e.body, body) {
+							t.Fatalf("seed %d op %d: put of gen %d under register %d was cached", seed, op, gen, regs[rep])
+						}
+					})
+				} else {
+					regs[rep] = gen
+					if got := c.get([]byte(dev), shape); !bytes.Equal(got, body) {
+						t.Fatalf("seed %d op %d: fresh put %q not served back, got %q", seed, op, body, got)
+					}
+				}
+			case 1:
+				c.noteGens(rep, map[string]uint64{dev: gen})
+				if regs := model[dev]; regs != nil && gen > regs[rep] {
+					regs[rep] = gen
+				}
+			default:
+				if got := c.get([]byte(dev), shape); got != nil {
+					var owner int
+					var stamp uint64
+					if _, err := fmt.Sscanf(string(got), "%d/%d", &owner, &stamp); err != nil {
+						t.Fatal(err)
+					}
+					if want := model[dev][owner]; stamp != want {
+						t.Fatalf("seed %d op %d: hit %s/%v stamped gen %d, owner %d's register is %d", seed, op, dev, shape, stamp, owner, want)
+					}
+				}
+			}
+			for d, regs := range model {
+				for i, want := range regs {
+					if got := c.reg(d, i); got != want {
+						t.Fatalf("seed %d op %d: register %s/%d is %d, model says %d (registers only advance)", seed, op, d, i, got, want)
+					}
+				}
+			}
+		}
+	}
 }

@@ -41,7 +41,7 @@ func newRouterMetrics(replicas []string, health *healthTable) *routerMetrics {
 		merges:    counter("router_gossip_merges_total", "Replica health entries adopted from peer gossip."),
 		reloads:   counter("router_reloads_total", "Replica reloads orchestrated."),
 		warmed:    counter("router_warmed_shapes_total", "Shapes peer-warmed into reloading replicas."),
-		repErrors: counter("router_replica_errors_total", "Replica transport errors observed."),
+		repErrors: counter("router_replica_errors_total", "Failed replica attempts: transport errors, 5xx answers and 200s that did not decode."),
 
 		edgeHits:          counter("selectrouter_cache_hits_total", "Selects answered from the edge cache."),
 		edgeMisses:        counter("selectrouter_cache_misses_total", "Selects the edge cache could not answer."),

@@ -153,17 +153,6 @@ type batchResults struct {
 	Results []serve.Decision `json:"results"`
 }
 
-// statusError is a failed control/batch call where the transport worked and
-// the replica answered with a non-200: it is alive but unwilling (saturated,
-// draining, bad request), which the router treats as backoff pressure rather
-// than replica death.
-type statusError struct {
-	status int
-	msg    string
-}
-
-func (e *statusError) Error() string { return e.msg }
-
 // appendBatchBody renders a batchWire byte-identically to json.Marshal
 // (omitempty device first, then shapes).
 func appendBatchBody(b []byte, device string, shapes []gemm.Shape) []byte {
@@ -190,41 +179,37 @@ func appendBatchBody(b []byte, device string, shapes []gemm.Shape) []byte {
 }
 
 // Batch prices a set of shapes on one device in a single round trip,
-// returning the decisions in request order. A non-200 reply comes back as a
-// *statusError so callers can tell saturation from transport death.
-func (r *Replica) Batch(ctx context.Context, device string, shapes []gemm.Shape) ([]serve.Decision, error) {
-	var body []byte
-	var bp *[]byte
-	if plainJSONString(device) {
-		bp = wireBufPool.Get().(*[]byte)
-		body = appendBatchBody((*bp)[:0], device, shapes)
-	} else {
+// returning the replica's response as Select does: (status, headers, raw
+// body). decodeBatch reads a 200 body.
+func (r *Replica) Batch(ctx context.Context, device string, shapes []gemm.Shape) (int, http.Header, []byte, error) {
+	if !plainJSONString(device) {
 		req := batchWire{Device: device, Shapes: make([]selectShape, len(shapes))}
 		for i, s := range shapes {
 			req.Shapes[i] = selectShape{M: s.M, K: s.K, N: s.N}
 		}
-		var err error
-		if body, err = json.Marshal(req); err != nil {
-			return nil, err
+		body, err := json.Marshal(req)
+		if err != nil {
+			return 0, nil, nil, err
 		}
+		return r.roundTrip(ctx, http.MethodPost, "/v1/select/batch", body)
 	}
-	status, _, b, err := r.roundTrip(ctx, http.MethodPost, "/v1/select/batch", body)
-	if bp != nil {
-		*bp = body[:0]
-		wireBufPool.Put(bp)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, &statusError{status: status, msg: fmt.Sprintf("replica %s batch: status %d: %s", r.Name, status, truncate(b, 200))}
-	}
+	bp := wireBufPool.Get().(*[]byte)
+	body := appendBatchBody((*bp)[:0], device, shapes)
+	status, hdr, out, err := r.roundTrip(ctx, http.MethodPost, "/v1/select/batch", body)
+	*bp = body[:0]
+	wireBufPool.Put(bp)
+	return status, hdr, out, err
+}
+
+// decodeBatch reads a 200 batch body from the named replica, which must hold
+// exactly n results.
+func decodeBatch(replica string, body []byte, n int) ([]serve.Decision, error) {
 	var out batchResults
-	if err := json.Unmarshal(b, &out); err != nil {
-		return nil, fmt.Errorf("replica %s batch decode: %w", r.Name, err)
+	if err := json.Unmarshal(body, &out); err != nil {
+		return nil, fmt.Errorf("replica %s batch decode: %w", replica, err)
 	}
-	if len(out.Results) != len(shapes) {
-		return nil, fmt.Errorf("replica %s batch: %d results for %d shapes", r.Name, len(out.Results), len(shapes))
+	if len(out.Results) != n {
+		return nil, fmt.Errorf("replica %s batch: %d results for %d shapes", replica, len(out.Results), n)
 	}
 	return out.Results, nil
 }
@@ -316,30 +301,6 @@ func (r *Replica) Reload(ctx context.Context, device string) (reloadWire, error)
 		return reloadWire{}, fmt.Errorf("replica %s reload decode: %w", r.Name, err)
 	}
 	return rr, nil
-}
-
-// Devices lists the replica's device backends via GET /v1/devices.
-func (r *Replica) Devices(ctx context.Context) ([]string, error) {
-	status, _, b, err := r.roundTrip(ctx, http.MethodGet, "/v1/devices", nil)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("replica %s devices: status %d", r.Name, status)
-	}
-	var resp struct {
-		Devices []struct {
-			Name string `json:"name"`
-		} `json:"devices"`
-	}
-	if err := json.Unmarshal(b, &resp); err != nil {
-		return nil, fmt.Errorf("replica %s devices decode: %w", r.Name, err)
-	}
-	names := make([]string, len(resp.Devices))
-	for i, d := range resp.Devices {
-		names[i] = d.Name
-	}
-	return names, nil
 }
 
 // WarmConns pre-establishes up to n persistent connections by holding n

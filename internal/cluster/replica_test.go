@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -140,4 +141,35 @@ func TestAppendWireBodiesMatchStdlib(t *testing.T) {
 	if !plainJSONString("r9nano") || !plainJSONString("") {
 		t.Error("plainJSONString rejected a plain device name")
 	}
+}
+
+// FuzzAppendWireBodies holds the upstream request encoders to encoding/json
+// over fuzzed device names and shapes: whenever plainJSONString admits the
+// device (the only case the encoders run), appendSelectBody and
+// appendBatchBody render exactly what json.Marshal renders for selectShape
+// and batchWire. Committed corpus: testdata/fuzz/FuzzAppendWireBodies.
+func FuzzAppendWireBodies(f *testing.F) {
+	f.Add("r9nano", 784, 1152, 256, 1, 4096, 1000)
+	f.Add("", -1, 0, math.MaxInt64, math.MinInt64, 3, 64)
+	f.Add("gfx803-es2", 100352, 3, 64, 7, 7, 7)
+	f.Fuzz(func(t *testing.T, device string, m, k, n, m2, k2, n2 int) {
+		if !plainJSONString(device) {
+			return
+		}
+		a, b := gemm.Shape{M: m, K: k, N: n}, gemm.Shape{M: m2, K: k2, N: n2}
+		want, err := json.Marshal(selectShape{M: m, K: k, N: n, Device: device})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendSelectBody(nil, device, a); !bytes.Equal(got, want) {
+			t.Fatalf("appendSelectBody(%q, %v) = %s, want %s", device, a, got, want)
+		}
+		wire := batchWire{Device: device, Shapes: []selectShape{{M: m, K: k, N: n}, {M: m2, K: k2, N: n2}}}
+		if want, err = json.Marshal(wire); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendBatchBody(nil, device, []gemm.Shape{a, b}); !bytes.Equal(got, want) {
+			t.Fatalf("appendBatchBody(%q, %v, %v) = %s, want %s", device, a, b, got, want)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"kernelselect/internal/gemm"
+	"kernelselect/internal/xrand"
 )
 
 var ringDevices = []string{"amd-r9-nano", "intel-gen9", "arm-mali"}
@@ -119,6 +120,47 @@ func TestRingFailoverOrderStable(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("shape %v: filtered order %v, want %v", shape, got, want)
 			}
+		}
+	}
+}
+
+// Growing the ring by one replica is consistent hashing's bounded movement:
+// over the distinct (device, bucket) keys of 20,000 seeded draws, a key
+// whose primary changes moves onto the new replica and nowhere else, and at
+// most 2/(n+1) of the keys move.
+func TestRingGrowthMovesKeysOnlyToNewReplica(t *testing.T) {
+	rng := xrand.New(2020)
+	dim := func() int { return 1 + rng.Intn(1<<uint(rng.Intn(17))) }
+	type draw struct {
+		device string
+		shape  gemm.Shape
+	}
+	seen := make(map[uint64]bool)
+	var keys []draw
+	for i := 0; i < 20000; i++ {
+		d := draw{ringDevices[rng.Intn(len(ringDevices))], gemm.Shape{M: dim(), K: dim(), N: dim()}}
+		if k := keyOf(d.device, d.shape); !seen[k] {
+			seen[k] = true
+			keys = append(keys, d)
+		}
+	}
+	for n := 1; n <= 5; n++ {
+		small, grown := newRing(n, 128), newRing(n+1, 128)
+		moved := 0
+		for _, d := range keys {
+			before, after := small.candidates(d.device, d.shape)[0], grown.candidates(d.device, d.shape)[0]
+			if before == after {
+				continue
+			}
+			if after != n {
+				t.Fatalf("n=%d: %s/%v moved from replica %d to %d, not to the new replica %d", n, d.device, d.shape, before, after, n)
+			}
+			moved++
+		}
+		frac := float64(moved) / float64(len(keys))
+		t.Logf("n=%d -> %d: %d of %d keys moved (%.3f)", n, n+1, moved, len(keys), frac)
+		if frac > 2/float64(n+1) {
+			t.Errorf("n=%d -> %d: moved fraction %.3f exceeds %.3f", n, n+1, frac, 2/float64(n+1))
 		}
 	}
 }

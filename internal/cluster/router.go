@@ -303,53 +303,98 @@ func (r *Router) routable(order []int) []int {
 	return alive
 }
 
-// attemptResult is one replica attempt's outcome.
+// attemptResult is one replica attempt's outcome: the replica's raw answer
+// and, for a 200 batch answer, its decoded results.
 type attemptResult struct {
 	idx    int
 	hedge  bool
 	status int
+	hdr    http.Header
 	body   []byte
+	decs   []serve.Decision
 	err    error
 }
 
-// attempt runs one replica round trip and reports it. Transport errors mark
-// the replica down immediately (its shard re-hashes on the next request) —
-// unless this attempt's context was cancelled, which says the ladder lost
-// interest (a sibling won), not that the replica is sick. Saturation
-// responses (429/5xx) arm the backoff from Retry-After.
-func (r *Router) attempt(ctx context.Context, idx int, hedge bool, device string, shape gemm.Shape, ch chan<- attemptResult) {
-	rep := r.replicas[idx]
-	status, hdr, body, err := rep.Select(ctx, device, shape)
-	if err != nil {
-		if ctx.Err() == nil {
-			r.metrics.repErrors.Add(1)
-			r.health.observe(rep.Name, StateDown, nil, err.Error())
-		}
-		ch <- attemptResult{idx: idx, hedge: hedge, err: err}
-		return
-	}
-	if status == http.StatusTooManyRequests || status >= 500 {
-		r.setBackoff(idx, retryAfterOrDefault(hdr, r.opts.RetryBackoff))
-	}
-	ch <- attemptResult{idx: idx, hedge: hedge, status: status, body: body}
+// answer is the client-facing part of an accepted attempt: the replica's
+// status and body verbatim, with its Retry-After.
+func (res attemptResult) answer() answer {
+	return answer{status: res.status, body: res.body, retryAfter: res.hdr.Get("Retry-After")}
 }
 
-// acceptable reports whether an attempt outcome can be returned to the
-// client: any HTTP response below 500. 2xx/4xx (including a shed 429, which
-// carries Retry-After for the client) pass through verbatim; transport errors
-// and 5xx stay inside the router and trigger failover.
+// answer is one response bound for a client.
+type answer struct {
+	status     int
+	body       []byte
+	retryAfter string // forwarded Retry-After header, "" for none
+}
+
+// replicaCall is one upstream round trip the ladder can launch against a
+// replica. A non-nil err is a replica fault: the transport failed, or a 200
+// did not decode.
+type replicaCall func(ctx context.Context, rep *Replica) attemptResult
+
+// selectCall asks for one decision; any answer is passed through as is.
+func selectCall(device string, shape gemm.Shape) replicaCall {
+	return func(ctx context.Context, rep *Replica) (res attemptResult) {
+		res.status, res.hdr, res.body, res.err = rep.Select(ctx, device, shape)
+		return res
+	}
+}
+
+// batchCall prices shapes in one replica batch call. A 200 must decode to
+// exactly one result per shape.
+func batchCall(device string, shapes []gemm.Shape) replicaCall {
+	return func(ctx context.Context, rep *Replica) (res attemptResult) {
+		res.status, res.hdr, res.body, res.err = rep.Batch(ctx, device, shapes)
+		if res.err == nil && res.status == http.StatusOK {
+			res.decs, res.err = decodeBatch(rep.Name, res.body, len(shapes))
+		}
+		return res
+	}
+}
+
+// attempt runs one replica call and classifies its outcome. This is the one
+// failure rule for every upstream call:
+//   - a fault (transport error, undecodable 200) marks the replica down, so
+//     its shard re-hashes on the next request;
+//   - a 429 or 5xx arms backoff from the replica's Retry-After;
+//   - faults and 5xx fail over and count as replica errors.
+//
+// An attempt whose context was cancelled lost a race to a sibling (or the
+// client left): that says nothing about the replica, so it is neither
+// counted nor marked down.
+func (r *Router) attempt(ctx context.Context, idx int, hedge bool, call replicaCall, ch chan<- attemptResult) {
+	rep := r.replicas[idx]
+	res := call(ctx, rep)
+	res.idx, res.hedge = idx, hedge
+	if res.status == http.StatusTooManyRequests || res.status >= 500 {
+		r.setBackoff(idx, retryAfterOrDefault(res.hdr, r.opts.RetryBackoff))
+	}
+	if !acceptable(res) && ctx.Err() == nil {
+		r.metrics.repErrors.Add(1)
+		if res.err != nil {
+			r.health.observe(rep.Name, StateDown, nil, res.err.Error())
+		}
+	}
+	ch <- res
+}
+
+// acceptable is the one acceptance rule: an answer below 500 that decoded is
+// final and goes back to the client verbatim — 2xx, 4xx and a shed 429 with
+// its Retry-After alike. Faults and 5xx stay inside the router.
 func acceptable(res attemptResult) bool {
 	return res.err == nil && res.status < 500
 }
 
-// tryReplicas runs the retry/hedge ladder over the candidate list: launch the
-// first candidate, hedge to the second after HedgeDelay, and on failure walk
-// the remaining candidates sequentially with backoff, up to Retries extra
-// attempts. The first acceptable response wins and is counted exactly once;
-// the moment it returns, every losing in-flight arm is cancelled through its
-// own context, so hedges stop burning replica budget on work nobody will
-// read.
-func (r *Router) tryReplicas(ctx context.Context, alive []int, device string, shape gemm.Shape) (attemptResult, bool) {
+// tryReplicas is the router's one upstream ladder, shared by a solo select,
+// a coalesced flush and each shard group of a client batch: launch call on
+// the first candidate, hedge to the second after HedgeDelay, and on failure
+// walk the remaining candidates sequentially with backoff, up to Retries
+// extra attempts. The first acceptable answer wins and is counted exactly
+// once; the moment it returns, every losing in-flight arm is cancelled
+// through its own context, so hedges stop burning replica budget on work
+// nobody will read.
+func (r *Router) tryReplicas(ctx context.Context, alive []int, call replicaCall) (attemptResult, bool) {
 	if len(alive) == 0 {
 		return attemptResult{}, false
 	}
@@ -363,7 +408,7 @@ func (r *Router) tryReplicas(ctx context.Context, alive []int, device string, sh
 	launch := func(idx int, hedge bool) {
 		actx, cancel := context.WithCancel(ctx)
 		cancels = append(cancels, cancel)
-		go r.attempt(actx, idx, hedge, device, shape, ch)
+		go r.attempt(actx, idx, hedge, call, ch)
 	}
 	next := 1
 	pending := 1
@@ -392,6 +437,10 @@ func (r *Router) tryReplicas(ctx context.Context, alive []int, device string, sh
 		case res := <-ch:
 			pending--
 			if acceptable(res) {
+				r.metrics.wins[res.idx].Add(1)
+				if res.hedge {
+					r.metrics.hedgeWins.Add(1)
+				}
 				return res, true
 			}
 			if pending > 0 {
@@ -424,79 +473,80 @@ func errorBody(msg string) []byte {
 
 // fallback answers from the router-local engine, stamped degraded with reason
 // replica_down. This is the no-5xx backstop: a priceable shape always gets a
-// usable (if conservative) configuration even with the whole fleet dark.
-func (r *Router) fallback(ctx context.Context, device string, shape gemm.Shape) (int, []byte, http.Header) {
+// usable (if conservative) configuration even with the whole fleet dark. A
+// shape it cannot answer comes back as the error answer the client gets
+// instead (status not 200).
+func (r *Router) fallback(ctx context.Context, device string, shape gemm.Shape) (serve.Decision, answer) {
 	d, err := r.local.Decide(ctx, device, shape)
 	if err != nil {
 		if ctx.Err() != nil {
-			h := http.Header{}
-			h.Set("Retry-After", "1")
-			return http.StatusServiceUnavailable, errorBody("deadline exceeded"), h
+			return d, answer{status: http.StatusServiceUnavailable, body: errorBody("deadline exceeded"), retryAfter: "1"}
 		}
 		// Unpriceable: unknown device or invalid shape — a client error on
 		// any topology, single replica or fleet.
-		return http.StatusBadRequest, errorBody(err.Error()), nil
+		return d, answer{status: http.StatusBadRequest, body: errorBody(err.Error())}
 	}
 	d.Degraded = true
 	d.DegradedReason = "replica_down"
 	d.Cached = false
 	r.metrics.fallbacks.Add(1)
-	b, err := json.Marshal(d)
-	if err != nil {
-		return http.StatusBadRequest, errorBody(err.Error()), nil
-	}
-	return http.StatusOK, b, nil
+	return d, answer{status: http.StatusOK}
 }
 
-// cacheFillBody stamps and caches one passthrough replica body: the
-// generation is scanned out of the rendered JSON, degraded bodies are
-// skipped, and anything the scanner cannot fully account for is simply not
-// cached (never mis-stamped).
-func (r *Router) cacheFillBody(device string, shape gemm.Shape, rep, status int, body []byte) {
-	if r.edge == nil || status != http.StatusOK {
-		return
-	}
-	gen, degraded, ok := serve.ScanDecisionMeta(body)
-	if !ok || degraded || gen == 0 {
-		return
-	}
-	if len(body) == 0 || body[len(body)-1] != '\n' {
-		body = append(append(make([]byte, 0, len(body)+1), body...), '\n')
-	}
-	r.edge.put(device, shape, rep, gen, body)
-}
-
-// cacheFillDecision caches one already-rendered decision body whose metadata
-// is known (the micro-batcher's path; degraded was filtered by the caller).
-func (r *Router) cacheFillDecision(device string, shape gemm.Shape, rep int, gen uint64, body []byte) {
+// fill is the edge cache's one feed: it caches a replica's 200 decision body
+// under the replica that produced it, stamped with the generation the body
+// carries. The body is read with encoding/json, exactly as a client reads
+// it; a degraded, unstamped or undecodable body is not cached.
+func (r *Router) fill(device string, shape gemm.Shape, rep int, body []byte) {
 	if r.edge == nil {
 		return
 	}
-	r.edge.put(device, shape, rep, gen, body)
+	var meta struct {
+		Generation uint64 `json:"generation"`
+		Degraded   bool   `json:"degraded"`
+	}
+	if json.Unmarshal(body, &meta) != nil || meta.Degraded || meta.Generation == 0 {
+		return
+	}
+	if body[len(body)-1] != '\n' {
+		body = append(body[:len(body):len(body)], '\n')
+	}
+	r.edge.put(device, shape, rep, meta.Generation, body)
+}
+
+// solo sends one select miss through the ladder on its own and refills the
+// edge cache from the answer.
+func (r *Router) solo(ctx context.Context, alive []int, device string, shape gemm.Shape) (answer, bool) {
+	res, ok := r.tryReplicas(ctx, alive, selectCall(device, shape))
+	if !ok {
+		return answer{}, false
+	}
+	if res.status == http.StatusOK {
+		r.fill(device, shape, res.idx, res.body)
+	}
+	return res.answer(), true
 }
 
 // route answers one select request through the full ladder: consistent-hash
-// candidates, liveness filter, micro-batcher or retry+hedge, local degraded
-// fallback. Successful full-quality answers refill the edge cache on the way
-// out.
-func (r *Router) route(ctx context.Context, device string, shape gemm.Shape) (int, []byte, http.Header) {
-	order := r.ring.candidates(device, shape)
-	alive := r.routable(order)
+// candidates, liveness filter, micro-batcher or a solo dispatch, local
+// degraded fallback.
+func (r *Router) route(ctx context.Context, device string, shape gemm.Shape) answer {
+	alive := r.routable(r.ring.candidates(device, shape))
+	var a answer
+	var ok bool
 	if r.batchers != nil && len(alive) > 0 {
-		if status, body, ok := r.routeCoalesced(ctx, device, shape, alive); ok {
-			return status, body, nil
-		}
-		return r.fallback(ctx, device, shape)
+		a, ok = r.routeCoalesced(ctx, device, shape, alive)
+	} else {
+		a, ok = r.solo(ctx, alive, device, shape)
 	}
-	if res, ok := r.tryReplicas(ctx, alive, device, shape); ok {
-		r.metrics.wins[res.idx].Add(1)
-		if res.hedge {
-			r.metrics.hedgeWins.Add(1)
-		}
-		r.cacheFillBody(device, shape, res.idx, res.status, res.body)
-		return res.status, res.body, nil
+	if ok {
+		return a
 	}
-	return r.fallback(ctx, device, shape)
+	d, a := r.fallback(ctx, device, shape)
+	if a.status == http.StatusOK {
+		a.body = append(serve.AppendDecisionJSON(make([]byte, 0, 256), &d), '\n')
+	}
+	return a
 }
 
 // selectBufPool holds per-request scratch for the select proxy loop: the
@@ -517,7 +567,7 @@ func (r *Router) handleSelect(w http.ResponseWriter, req *http.Request) {
 	body, err := serve.ReadRequestBody(w, req, (*bp)[:0])
 	*bp = body[:0]
 	if err != nil {
-		r.writeResponse(w, "select", http.StatusBadRequest, errorBody(err.Error()), nil)
+		r.writeResponse(w, "select", http.StatusBadRequest, errorBody(err.Error()), "")
 		return
 	}
 	var shape gemm.Shape
@@ -530,14 +580,14 @@ func (r *Router) handleSelect(w http.ResponseWriter, req *http.Request) {
 		// semantics the router has always had for passthrough requests.
 		var sr selectShape
 		if err := json.Unmarshal(body, &sr); err != nil {
-			r.writeResponse(w, "select", http.StatusBadRequest, errorBody(err.Error()), nil)
+			r.writeResponse(w, "select", http.StatusBadRequest, errorBody(err.Error()), "")
 			return
 		}
 		shape = gemm.Shape{M: sr.M, K: sr.K, N: sr.N}
 		deviceB = []byte(sr.Device)
 	}
 	if err := shape.Validate(); err != nil {
-		r.writeResponse(w, "select", http.StatusBadRequest, errorBody(err.Error()), nil)
+		r.writeResponse(w, "select", http.StatusBadRequest, errorBody(err.Error()), "")
 		return
 	}
 	if r.edge != nil {
@@ -550,16 +600,14 @@ func (r *Router) handleSelect(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	status, out, hdr := r.route(req.Context(), string(deviceB), shape)
-	r.writeResponse(w, "select", status, out, hdr)
+	a := r.route(req.Context(), string(deviceB), shape)
+	r.writeResponse(w, "select", a.status, a.body, a.retryAfter)
 }
 
 // writeResponse commits one response and counts it once.
-func (r *Router) writeResponse(w http.ResponseWriter, endpoint string, status int, body []byte, hdr http.Header) {
-	for k, vs := range hdr {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
+func (r *Router) writeResponse(w http.ResponseWriter, endpoint string, status int, body []byte, retryAfter string) {
+	if retryAfter != "" {
+		w.Header().Set("Retry-After", retryAfter)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -571,9 +619,12 @@ func (r *Router) writeResponse(w http.ResponseWriter, endpoint string, status in
 }
 
 // handleBatch shards a batch across the fleet: shapes group by their ring
-// primary, each group rides one replica batch call (walking that group's
-// candidate list on failure), and shapes whose candidates are all down get
-// individual local fallback answers. Results return in request order.
+// primary, each group rides the upstream ladder as one replica batch call,
+// and shapes whose candidates are all down get individual local fallback
+// answers. Results return in request order. A group answered below 500 but
+// not 200 (the replica refused it: unknown device, shed) is final: the one
+// holding the earliest request index answers the whole batch, as a single
+// replica would have.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	var br batchWire
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBody))
@@ -581,14 +632,14 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		err = json.Unmarshal(body, &br)
 	}
 	if err != nil {
-		r.writeResponse(w, "batch", http.StatusBadRequest, errorBody(err.Error()), nil)
+		r.writeResponse(w, "batch", http.StatusBadRequest, errorBody(err.Error()), "")
 		return
 	}
 	shapes := make([]gemm.Shape, len(br.Shapes))
 	for i, s := range br.Shapes {
 		shapes[i] = gemm.Shape{M: s.M, K: s.K, N: s.N}
 		if err := shapes[i].Validate(); err != nil {
-			r.writeResponse(w, "batch", http.StatusBadRequest, errorBody(fmt.Sprintf("shape %d: %v", i, err)), nil)
+			r.writeResponse(w, "batch", http.StatusBadRequest, errorBody(fmt.Sprintf("shape %d: %v", i, err)), "")
 			return
 		}
 	}
@@ -605,63 +656,66 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		groups[alive[0]] = append(groups[alive[0]], i)
 	}
 
+	// Each goroutine writes only its own indices of results.
+	ctx := req.Context()
 	results := make([]serve.Decision, len(shapes))
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	fallbackOne := func(i int) {
-		status, out, _ := r.fallback(req.Context(), br.Device, shapes[i])
-		var d serve.Decision
-		if status == http.StatusOK {
-			json.Unmarshal(out, &d)
-		}
+	refusedAt, refusal := len(shapes), answer{}
+	refuse := func(i int, a answer) {
 		mu.Lock()
-		results[i] = d
+		if i < refusedAt {
+			refusedAt, refusal = i, a
+		}
 		mu.Unlock()
 	}
-	for primary, idxs := range groups {
+	fallbackOne := func(i int) {
+		d, a := r.fallback(ctx, br.Device, shapes[i])
+		if a.status != http.StatusOK {
+			refuse(i, a)
+			return
+		}
+		results[i] = d
+	}
+	var wg sync.WaitGroup
+	for _, idxs := range groups {
 		wg.Add(1)
-		go func(primary int, idxs []int) {
+		go func(idxs []int) {
 			defer wg.Done()
 			group := make([]gemm.Shape, len(idxs))
 			for j, i := range idxs {
 				group[j] = shapes[i]
 			}
-			// Walk this group's candidates: the primary first, then the same
-			// successor order a single request would fail over to.
+			// The primary first, then the same successor order a single
+			// request would fail over to.
 			alive := r.routable(r.ring.candidates(br.Device, group[0]))
-			tried := 0
-			for _, idx := range alive {
-				if tried > r.opts.Retries {
-					break
+			res, ok := r.tryReplicas(ctx, alive, batchCall(br.Device, group))
+			switch {
+			case !ok:
+				for _, i := range idxs {
+					fallbackOne(i)
 				}
-				tried++
-				decs, err := r.replicas[idx].Batch(req.Context(), br.Device, group)
-				if err != nil {
-					r.noteBatchError(req.Context(), idx, err)
-					continue
-				}
-				r.metrics.wins[idx].Add(1)
-				mu.Lock()
+			case res.status != http.StatusOK:
+				refuse(idxs[0], res.answer())
+			default:
 				for j, i := range idxs {
-					results[i] = decs[j]
+					results[i] = res.decs[j]
 				}
-				mu.Unlock()
-				return
 			}
-			for _, i := range idxs {
-				fallbackOne(i)
-			}
-		}(primary, idxs)
+		}(idxs)
 	}
 	for _, i := range orphans {
 		wg.Add(1)
 		go func(i int) { defer wg.Done(); fallbackOne(i) }(i)
 	}
 	wg.Wait()
+	if refusedAt < len(shapes) {
+		r.writeResponse(w, "batch", refusal.status, refusal.body, refusal.retryAfter)
+		return
+	}
 
 	bp := selectBufPool.Get().(*[]byte)
 	out := serve.AppendBatchJSON((*bp)[:0], results)
-	r.writeResponse(w, "batch", http.StatusOK, out, nil)
+	r.writeResponse(w, "batch", http.StatusOK, out, "")
 	*bp = out[:0]
 	selectBufPool.Put(bp)
 }
@@ -672,7 +726,7 @@ const maxBody = 1 << 20
 
 func (r *Router) handleClusterGet(w http.ResponseWriter, _ *http.Request) {
 	b, _ := json.Marshal(r.View())
-	r.writeResponse(w, "cluster", http.StatusOK, b, nil)
+	r.writeResponse(w, "cluster", http.StatusOK, b, "")
 }
 
 func (r *Router) handleClusterPost(w http.ResponseWriter, req *http.Request) {
@@ -682,7 +736,7 @@ func (r *Router) handleClusterPost(w http.ResponseWriter, req *http.Request) {
 		err = json.Unmarshal(body, &v)
 	}
 	if err != nil {
-		r.writeResponse(w, "cluster", http.StatusBadRequest, errorBody(err.Error()), nil)
+		r.writeResponse(w, "cluster", http.StatusBadRequest, errorBody(err.Error()), "")
 		return
 	}
 	adopted := r.health.merge(v)
@@ -690,7 +744,7 @@ func (r *Router) handleClusterPost(w http.ResponseWriter, req *http.Request) {
 	b, _ := json.Marshal(struct {
 		Adopted int `json:"adopted"`
 	}{Adopted: adopted})
-	r.writeResponse(w, "cluster", http.StatusOK, b, nil)
+	r.writeResponse(w, "cluster", http.StatusOK, b, "")
 }
 
 // reloadSummary is the router's POST /v1/reload body: one entry per replica
@@ -713,7 +767,7 @@ func (r *Router) handleReload(w http.ResponseWriter, req *http.Request) {
 		err = json.Unmarshal(body, &rr)
 	}
 	if err != nil {
-		r.writeResponse(w, "reload", http.StatusBadRequest, errorBody(err.Error()), nil)
+		r.writeResponse(w, "reload", http.StatusBadRequest, errorBody(err.Error()), "")
 		return
 	}
 	targets := make([]int, 0, len(r.replicas))
@@ -726,7 +780,7 @@ func (r *Router) handleReload(w http.ResponseWriter, req *http.Request) {
 			}
 		}
 		if found < 0 {
-			r.writeResponse(w, "reload", http.StatusBadRequest, errorBody(fmt.Sprintf("unknown replica %q", rr.Replica)), nil)
+			r.writeResponse(w, "reload", http.StatusBadRequest, errorBody(fmt.Sprintf("unknown replica %q", rr.Replica)), "")
 			return
 		}
 		targets = append(targets, found)
@@ -754,7 +808,7 @@ func (r *Router) handleReload(w http.ResponseWriter, req *http.Request) {
 	if failed {
 		code = http.StatusBadGateway
 	}
-	r.writeResponse(w, "reload", code, out, nil)
+	r.writeResponse(w, "reload", code, out, "")
 }
 
 // reloadReplica rolls one replica onto a fresh generation with peer
@@ -795,7 +849,7 @@ func (r *Router) reloadReplica(ctx context.Context, idx int, device string) relo
 
 	warm := r.gatherWarmShapes(ctx, idx, device)
 	if len(warm) > 0 {
-		if _, err := rep.Batch(ctx, device, warm); err == nil {
+		if status, _, _, err := rep.Batch(ctx, device, warm); err == nil && status == http.StatusOK {
 			sum.Warmed = len(warm)
 			r.metrics.warmed.Add(uint64(len(warm)))
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -330,5 +331,37 @@ func TestLibraryChooseClampsBadSelector(t *testing.T) {
 	}
 	if got := lib.Choose(gemm.Shape{M: 1, N: 1, K: 1}); got != cfgs[0] {
 		t.Fatal("out-of-range selector output not clamped")
+	}
+}
+
+func TestSelectorTrainerByFlag(t *testing.T) {
+	cases := []struct {
+		flag, want string // want "" means unknown
+	}{
+		{"tree", "DecisionTree"},
+		{"forest", "RandomForest"},
+		{"1nn", "1NearestNeighbor"},
+		{"3nn", "3NearestNeighbor"},
+		{"linear-svm", "LinearSVM"},
+		{"radial-svm", "RadialSVM"},
+		{"martian", ""},
+		{"", ""},
+		{"Tree", ""},
+		{"DecisionTree", ""},
+	}
+	for _, tc := range cases {
+		tr, err := SelectorTrainerByFlag(tc.flag)
+		if tc.want == "" {
+			if err == nil || err.Error() != fmt.Sprintf("unknown selector %q", tc.flag) {
+				t.Errorf("SelectorTrainerByFlag(%q) = %v, %v; want the unknown-selector error", tc.flag, tr, err)
+			}
+			continue
+		}
+		if err != nil || tr.Name() != tc.want {
+			t.Errorf("SelectorTrainerByFlag(%q) = %v, %v; want %s", tc.flag, tr, err, tc.want)
+		}
+	}
+	if len(selectorFlags) != len(AllSelectorTrainers()) {
+		t.Errorf("%d selector flags for %d trainers", len(selectorFlags), len(AllSelectorTrainers()))
 	}
 }

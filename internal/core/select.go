@@ -302,3 +302,18 @@ func AllSelectorTrainers() []SelectorTrainer {
 		RadialSVMSelector{},
 	}
 }
+
+// selectorFlags are the command-line (-selector) names of
+// AllSelectorTrainers, in the same order.
+var selectorFlags = []string{"tree", "forest", "1nn", "3nn", "linear-svm", "radial-svm"}
+
+// SelectorTrainerByFlag resolves a -selector flag value (tree, forest, 1nn,
+// 3nn, linear-svm or radial-svm) to its trainer.
+func SelectorTrainerByFlag(name string) (SelectorTrainer, error) {
+	for i, tr := range AllSelectorTrainers() {
+		if selectorFlags[i] == name {
+			return tr, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown selector %q", name)
+}

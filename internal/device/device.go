@@ -191,6 +191,25 @@ func ByName(name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("device: unknown device %q", name)
 }
 
+// Lookup resolves a command-line device name: the short aliases r9nano,
+// gen9 and mali first, then any full name ByName knows — which covers the
+// synthetic held-out specs a unified artifact can serve without ever having
+// trained on them.
+func Lookup(name string) (Spec, error) {
+	switch name {
+	case "r9nano":
+		return R9Nano(), nil
+	case "gen9":
+		return IntegratedGen9(), nil
+	case "mali":
+		return EmbeddedMaliG72(), nil
+	}
+	if spec, err := ByName(name); err == nil {
+		return spec, nil
+	}
+	return Spec{}, fmt.Errorf("unknown device %q", name)
+}
+
 // NumFeatures is the width of the vector Features returns.
 const NumFeatures = 7
 

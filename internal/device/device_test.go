@@ -137,3 +137,32 @@ func TestSyntheticsValidateAndStayHeldOut(t *testing.T) {
 		}
 	}
 }
+
+func TestLookup(t *testing.T) {
+	cases := []struct {
+		name, want string // want "" means unknown
+	}{
+		{"r9nano", R9Nano().Name},
+		{"gen9", IntegratedGen9().Name},
+		{"mali", EmbeddedMaliG72().Name},
+		{R9Nano().Name, R9Nano().Name},
+		{EmbeddedMaliG72().Name, EmbeddedMaliG72().Name},
+		{Synthetics()[0].Name, Synthetics()[0].Name},
+		{"martian", ""},
+		{"", ""},
+		{"R9NANO", ""},
+		{" gen9", ""},
+	}
+	for _, tc := range cases {
+		got, err := Lookup(tc.name)
+		if tc.want == "" {
+			if err == nil || err.Error() != fmt.Sprintf("unknown device %q", tc.name) {
+				t.Errorf("Lookup(%q) = %q, %v; want the unknown-device error", tc.name, got.Name, err)
+			}
+			continue
+		}
+		if err != nil || got.Name != tc.want {
+			t.Errorf("Lookup(%q) = %q, %v; want %q", tc.name, got.Name, err, tc.want)
+		}
+	}
+}

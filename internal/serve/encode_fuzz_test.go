@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"testing"
 )
 
@@ -48,43 +47,36 @@ func FuzzParseSelectBody(f *testing.F) {
 	})
 }
 
-// FuzzScanDecisionMeta holds the router's body scanner to encoding/json:
-// every body it accepts, json.Unmarshal accepts too (a type error in some
-// other field still binds the rest), with the same generation and degraded
-// flag. That is what keeps a degraded answer out of the edge cache whatever
-// the spelling of its keys. Committed corpus:
-// testdata/fuzz/FuzzScanDecisionMeta.
-func FuzzScanDecisionMeta(f *testing.F) {
-	for _, d := range []Decision{
-		{Device: "amd-r9-nano", Shape: "784x1152x256", Config: "c", Index: 3, PredictedGFLOPS: 1.5, Generation: 7},
-		{Device: "d", Generation: 2, Degraded: true, DegradedReason: "budget"},
-	} {
-		f.Add(appendDecision(nil, &d))
-	}
-	for _, seed := range []string{
-		`{"generation":5,"degraded":true}`,
-		`{"generation":1,"generation":2}`,
-		`{"index":"x","generation":4}`,
-		`{"shape":"a\u003cb","generation":9}`,
-		`{}`,
-	} {
-		f.Add([]byte(seed))
-	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		gen, degraded, ok := ScanDecisionMeta(body)
-		if !ok {
+// FuzzAppendDecision holds the append encoders to encoding/json over fuzzed
+// field values: appendDecision and appendBatch must render every Decision
+// json.Marshal renders, byte for byte. Values json.Marshal rejects (NaN,
+// ±Inf) are skipped; decisions never carry them. The router's degraded
+// fallback and its coalesced answers are encoded this way. Committed corpus:
+// testdata/fuzz/FuzzAppendDecision.
+func FuzzAppendDecision(f *testing.F) {
+	f.Add("amd-r9-nano", "784x1152x256", "t8x8a4_wg16x16", 3, "t8x8a4", 1472.1126384445024, 0.9376, true, uint64(7), false, "")
+	f.Add("intel-gen9", "1x1x1", "c", 0, "k", 0.0, 0.0, false, uint64(1), true, "replica_down")
+	f.Add(`quo"te\dev`, "<&>", "ünïcode", -1, "\x00\xff", 1e-9, 1e21, false, uint64(0), false, "budget")
+	f.Fuzz(func(t *testing.T, dev, shape, config string, index int, kernel string, gflops, norm float64, cached bool, gen uint64, degraded bool, reason string) {
+		d := Decision{
+			Device: dev, Shape: shape, Config: config, Index: index, KernelID: kernel,
+			PredictedGFLOPS: gflops, PredictedNorm: norm, Cached: cached,
+			Generation: gen, Degraded: degraded, DegradedReason: reason,
+		}
+		want, err := json.Marshal(d)
+		if err != nil {
 			return
 		}
-		var d Decision
-		if err := json.Unmarshal(body, &d); err != nil {
-			var typeErr *json.UnmarshalTypeError
-			if !errors.As(err, &typeErr) {
-				t.Fatalf("scanner accepted %q, json rejects it: %v", body, err)
-			}
+		if got := appendDecision(nil, &d); !bytes.Equal(got, want) {
+			t.Fatalf("appendDecision:\n append: %s\n stdlib: %s", got, want)
 		}
-		if d.Generation != gen || d.Degraded != degraded {
-			t.Fatalf("%q: scanner (gen %d, degraded %v) != json (gen %d, degraded %v)",
-				body, gen, degraded, d.Generation, d.Degraded)
+		results := []Decision{d, {Device: dev, Generation: gen}}
+		want, err = json.Marshal(batchResponse{Results: results})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendBatch(nil, results); !bytes.Equal(got, want) {
+			t.Fatalf("appendBatch:\n append: %s\n stdlib: %s", got, want)
 		}
 	})
 }
